@@ -13,7 +13,7 @@ such as copy number.
 __version__ = "0.1.0"
 
 from .chi2 import ChiSquare
-from .core import ExpressionMatrix, GramPrefix, build_gram_prefix, standardize
+from .core import ExpressionMatrix, standardize
 from .correction import (
     AlignedCovariate,
     CovariateTrack,
@@ -61,8 +61,6 @@ __all__ = [
     "__version__",
     "ChiSquare",
     "ExpressionMatrix",
-    "GramPrefix",
-    "build_gram_prefix",
     "standardize",
     "AlignedCovariate",
     "CovariateTrack",

@@ -27,8 +27,7 @@ from .pipeline import (
     segmentation_rows,
     split_by_chromosome,
 )
-from .core import ExpressionMatrix, build_gram_prefix, standardize
-from .segment import build_cost_table
+from .core import ExpressionMatrix, standardize
 from .significance import apply_adjustment, power, test_regions
 from .simulate import (
     ScenarioSpec,
@@ -109,11 +108,11 @@ def _outdir(config: RunConfig) -> Path:
 def _load_views(config: RunConfig):
     matrix = io.read_expression(config.input, transpose=config.transpose)
     annotation = io.read_annotation(config.annotation) if config.annotation else None
-    return split_by_chromosome(matrix, annotation)
+    return matrix, split_by_chromosome(matrix, annotation)
 
 
 def cmd_segment(config: RunConfig) -> int:
-    views = _load_views(config)
+    _, views = _load_views(config)
     results = segment_all(
         views, S=config.S, k_max=config.kmax, rule=config.rule, min_seg_len=config.min_seg
     )
@@ -130,7 +129,7 @@ def cmd_segment(config: RunConfig) -> int:
 
 
 def cmd_test(config: RunConfig) -> int:
-    views = _load_views(config)
+    _, views = _load_views(config)
     bounds_by_chrom = io.read_segmentation(config.segmentation)
     known = {v.name for v in views}
     unknown = sorted(set(bounds_by_chrom) - known)
@@ -142,8 +141,7 @@ def cmd_test(config: RunConfig) -> int:
     reports = []
     for view in views:
         std = standardize(view.matrix)
-        costs = build_cost_table(build_gram_prefix(std))
-        seg = segmentation_from_bounds(costs, bounds_by_chrom[view.name])
+        seg = segmentation_from_bounds(std, bounds_by_chrom[view.name])
         reports.extend(
             test_regions(std, seg, chromosome=view.name, rho0=config.rho0)
         )
@@ -164,9 +162,7 @@ def cmd_test(config: RunConfig) -> int:
 
 
 def cmd_correct(config: RunConfig) -> int:
-    matrix = io.read_expression(config.input, transpose=config.transpose)
-    annotation = io.read_annotation(config.annotation) if config.annotation else None
-    views = split_by_chromosome(matrix, annotation)
+    matrix, views = _load_views(config)
     if config.covariate_positions:
         covariate = io.read_covariate_wide(config.covariate, config.covariate_positions)
     else:
@@ -421,10 +417,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     config = _config_from_args(args)
     try:
-        if args.command == "power":
-            config.validate()
-            return cmd_power(config, args.n_grid, args.p_grid, args.rho_grid, args.alpha_grid)
         config.validate()
+        if args.command == "power":
+            return cmd_power(config, args.n_grid, args.p_grid, args.rho_grid, args.alpha_grid)
         return {
             "segment": cmd_segment,
             "test": cmd_test,

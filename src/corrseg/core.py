@@ -8,11 +8,11 @@ the O(K p^2) dynamic program practical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstantColumn, EmptyRegion, InvalidMatrix, NotStandardized
+from .errors import ConstantColumn, InvalidMatrix, NotStandardized
 
 
 @dataclass(frozen=True)
@@ -84,36 +84,29 @@ def standardize(matrix: ExpressionMatrix) -> ExpressionMatrix:
     )
 
 
-@dataclass(frozen=True)
-class GramPrefix:
-    """2-D cumulative sums of G_jk = n^-1 sum_i Y_ij Y_ik.
+def build_gram_prefix(matrix: ExpressionMatrix) -> np.ndarray:
+    """Zero-padded 2-D prefix sums of G_jk = n^-1 sum_i Y_ij Y_ik.
 
-    ``prefix[a, b]`` is the sum of G over the leading a x b submatrix, so
-    the block sum over genes [start, stop) comes out of four entries by
-    inclusion-exclusion.
+    Returns the (p+1) x (p+1) array whose entry [a, b] is the sum of G
+    over the leading a x b submatrix; `block_sums` reads any block sum
+    out of it. The matrix must be standardized.
     """
-
-    prefix: np.ndarray
-    n: int
-
-    @property
-    def p(self) -> int:
-        return self.prefix.shape[0] - 1
-
-    def block_sum(self, start: int, stop: int) -> float:
-        """Sum of G_jk over j, k in [start, stop), half-open 0-based."""
-        if not (0 <= start < stop <= self.p):
-            raise EmptyRegion(f"invalid region [{start}, {stop}) for p={self.p}")
-        P = self.prefix
-        return float(P[stop, stop] - P[start, stop] - P[stop, start] + P[start, start])
-
-
-def build_gram_prefix(matrix: ExpressionMatrix) -> GramPrefix:
-    """Materialize the Gram matrix of a standardized matrix and its prefix sums."""
     if not matrix.standardized:
         raise NotStandardized("standardize the matrix before building Gram prefix sums")
     Y = matrix.values
     G = (Y.T @ Y) / matrix.n
     prefix = np.zeros((matrix.p + 1, matrix.p + 1))
     prefix[1:, 1:] = G.cumsum(axis=0).cumsum(axis=1)
-    return GramPrefix(prefix=prefix, n=matrix.n)
+    return prefix
+
+
+def block_sums(prefix: np.ndarray, starts, stops) -> np.ndarray:
+    """Sum of G_jk over j, k in [start, stop), half-open 0-based.
+
+    ``starts`` and ``stops`` are integer arrays that broadcast against
+    each other, so one call serves a list of segments or the whole grid.
+    Each sum is four prefix entries combined by inclusion-exclusion.
+    Bounds are not checked; callers derive them from p themselves.
+    """
+    P = prefix
+    return P[stops, stops] - P[starts, stops] - P[stops, starts] + P[starts, starts]

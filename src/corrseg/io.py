@@ -96,6 +96,11 @@ def read_expression(path: str | Path, transpose: bool = False) -> ExpressionMatr
     if transpose:
         values = values.T
         col_ids, row_ids = row_ids, col_ids
+    seen: set[str] = set()
+    for gene in col_ids:
+        if gene in seen:
+            raise SchemaError(f"{path}: gene id {gene!r} appears more than once")
+        seen.add(gene)
     return ExpressionMatrix(
         values=values,
         gene_ids=tuple(col_ids),
@@ -130,11 +135,17 @@ def read_annotation(path: str | Path) -> dict[str, tuple[str, float, float | Non
         gi, ci, si = 0, 1, 2
         ei = 3 if len(header) >= 4 else None
     out: dict[str, tuple[str, float, float | None]] = {}
+    first_row: dict[str, int] = {}
     for i, row in enumerate(data):
         where = f"{path}: row {i + 2}"
         if len(row) <= max(gi, ci, si):
             raise IngestionError(f"{where}: too few fields")
         gene = row[gi].strip()
+        if gene in first_row:
+            raise SchemaError(
+                f"{path}: gene {gene!r} is listed twice (rows {first_row[gene]} and {i + 2})"
+            )
+        first_row[gene] = i + 2
         chrom = row[ci].strip()
         start = _parse_float(row[si], where)
         end = None

@@ -26,7 +26,7 @@ from .segment import (
     SelectionTrace,
     build_cost_table,
     dp_segment,
-    rho_hat,
+    segmentation_from_breakpoints,
     select_k,
 )
 from .significance import RegionReport, apply_adjustment, test_regions
@@ -120,7 +120,7 @@ def segment_chromosome(
 ) -> ChromosomeResult:
     """Standardize, build costs, choose K (unless fixed), and segment."""
     std = standardize(matrix)
-    costs = build_cost_table(build_gram_prefix(std))
+    costs = build_cost_table(std)
     if fixed_k is not None:
         trace = None
         k = fixed_k
@@ -169,28 +169,17 @@ def segmentation_rows(results: list[ChromosomeResult]) -> list[dict]:
 
 
 def segmentation_from_bounds(
-    costs: SegmentCostTable, bounds: list[tuple[int, int]]
+    std: ExpressionMatrix, bounds: list[tuple[int, int]]
 ) -> Segmentation:
     """Rebuild a Segmentation (with rho estimates) from half-open bounds."""
     if not bounds:
         raise ValidationError("empty segmentation")
     bps = [bounds[0][0]] + [b for _, b in bounds]
-    if bps[0] != 0 or bps[-1] != costs.p:
+    if bps[0] != 0 or bps[-1] != std.p:
         raise ValidationError(
-            f"segmentation covers [{bps[0]}, {bps[-1]}), expected [0, {costs.p})"
+            f"segmentation covers [{bps[0]}, {bps[-1]}), expected [0, {std.p})"
         )
-    rho = []
-    seg_ll = []
-    for a, b in bounds:
-        p_k = b - a
-        rho.append(0.0 if p_k == 1 else rho_hat(float(costs.block_sums[a, b - 1]), p_k))
-        seg_ll.append(-0.5 * float(costs.cost[a, b - 1]))
-    return Segmentation(
-        breakpoints=tuple(bps),
-        rho=tuple(rho),
-        segment_loglik=tuple(seg_ll),
-        total_loglik=float(sum(seg_ll)),
-    )
+    return segmentation_from_breakpoints(build_gram_prefix(std), std.n, bps)
 
 
 def test_all(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GramPrefix
+from .core import ExpressionMatrix, block_sums, build_gram_prefix
 from .errors import DegenerateNormalizationWarning, KTooLarge
 
 RHO_EPS = 1e-8
@@ -43,12 +43,13 @@ class SegmentCostTable:
     """Materialized -2 * max-log-likelihood for every contiguous segment.
 
     ``cost[a, b]`` covers genes a..b inclusive (0-based); entries with
-    a > b are +inf. ``block_sums`` keeps the matching Gram block sums so
-    per-segment rho estimates can be read back after the DP.
+    a > b are +inf. ``prefix`` keeps the Gram prefix sums (see
+    `build_gram_prefix`) so the chosen segments' rho estimates can be
+    read back after the DP.
     """
 
     cost: np.ndarray
-    block_sums: np.ndarray
+    prefix: np.ndarray
     n: int
 
     @property
@@ -62,32 +63,33 @@ class SegmentCostTable:
         return float(self.cost[a, b])
 
 
-def build_cost_table(gram: GramPrefix) -> SegmentCostTable:
-    """Evaluate the closed-form segment cost for all O(p^2) segments at once.
+def _closed_form_cost(S: np.ndarray, L: np.ndarray, n: int) -> np.ndarray:
+    """Closed-form -2 * max log-likelihood of segments of L genes, block sum S.
 
-    For a segment of length L with Gram block sum S the cost is
+    For L >= 2 the cost is
     n * [L + (L-1) log((L^2 - S)/(L^2 - L)) + log(S / L)], and
-    n * (1 + log G_aa) for singletons. Log arguments are floored at 1e-12
+    n * (1 + log S) for singletons. Log arguments are floored at 1e-12
     so empirically singular blocks yield finite (strongly negative) costs
-    instead of NaN.
+    instead of NaN. S and L broadcast elementwise.
     """
-    P = gram.prefix
-    p = gram.p
-    n = gram.n
-    d = np.diag(P)
-    # S[a, b] = block sum over genes a..b inclusive, via 2-D inclusion-exclusion
-    S = d[1:][None, :] - P[:p, 1:] - P[1:, :p].T + d[:p][:, None]
-    idx = np.arange(p)
-    L = idx[None, :] - idx[:, None] + 1
     den = np.maximum(L * L - L, 1)
     with np.errstate(invalid="ignore"):
         r1 = np.clip((L * L - S) / den, LOG_EPS, None)
         r2 = np.clip(S / np.maximum(L, 1), LOG_EPS, None)
         cost = n * (L + (L - 1) * np.log(r1) + np.log(r2))
         single = n * (1.0 + np.log(np.clip(S, LOG_EPS, None)))
-    cost = np.where(L == 1, single, cost)
-    cost = np.where(L < 1, np.inf, cost)
-    return SegmentCostTable(cost=cost, block_sums=S, n=n)
+    return np.where(L == 1, single, cost)
+
+
+def build_cost_table(std: ExpressionMatrix) -> SegmentCostTable:
+    """Evaluate the closed-form segment cost for all O(p^2) segments at once."""
+    prefix = build_gram_prefix(std)
+    idx = np.arange(std.p)
+    # S[a, b] = block sum over genes a..b inclusive
+    S = block_sums(prefix, idx[:, None], idx[None, :] + 1)
+    L = idx[None, :] - idx[:, None] + 1
+    cost = np.where(L < 1, np.inf, _closed_form_cost(S, L, std.n))
+    return SegmentCostTable(cost=cost, prefix=prefix, n=std.n)
 
 
 @dataclass(frozen=True)
@@ -157,17 +159,27 @@ def _backtrack(B: np.ndarray, k: int, p: int) -> list[int]:
     return bps[::-1]
 
 
-def _segmentation_from_breakpoints(costs: SegmentCostTable, bps: list[int]) -> Segmentation:
-    rho = []
-    seg_ll = []
-    for a, b in zip(bps[:-1], bps[1:]):
-        p_k = b - a
-        rho.append(0.0 if p_k == 1 else rho_hat(float(costs.block_sums[a, b - 1]), p_k))
-        seg_ll.append(-0.5 * float(costs.cost[a, b - 1]))
+def segmentation_from_breakpoints(
+    prefix: np.ndarray, n: int, breakpoints: list[int]
+) -> Segmentation:
+    """Segmentation with per-segment rho and log-likelihood estimates.
+
+    prefix and n come from `build_gram_prefix` on the standardized matrix;
+    breakpoints run 0 = t_0 < ... < t_K = p.
+    """
+    bps = tuple(int(t) for t in breakpoints)
+    starts = np.array(bps[:-1])
+    stops = np.array(bps[1:])
+    S = block_sums(prefix, starts, stops)
+    lengths = stops - starts
+    seg_ll = tuple(-0.5 * float(c) for c in _closed_form_cost(S, lengths, n))
+    rho = tuple(
+        0.0 if p_k == 1 else rho_hat(float(s), int(p_k)) for s, p_k in zip(S, lengths)
+    )
     return Segmentation(
-        breakpoints=tuple(bps),
-        rho=tuple(rho),
-        segment_loglik=tuple(seg_ll),
+        breakpoints=bps,
+        rho=rho,
+        segment_loglik=seg_ll,
         total_loglik=float(sum(seg_ll)),
     )
 
@@ -185,7 +197,7 @@ def dp_segment(costs: SegmentCostTable, K: int, min_seg_len: int = 1) -> Segment
     if K < 1 or K * max(1, min_seg_len) > p:
         raise KTooLarge(f"K={K} infeasible for p={p} (min segment {min_seg_len})")
     _, B = _dp_tables(_masked_cost(costs, min_seg_len), K)
-    return _segmentation_from_breakpoints(costs, _backtrack(B, K, p))
+    return segmentation_from_breakpoints(costs.prefix, costs.n, _backtrack(B, K, p))
 
 
 def default_k_max(p: int) -> int:

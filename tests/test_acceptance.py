@@ -20,7 +20,7 @@ import scipy.stats
 from conftest import as_matrix, blocked_matrix, cs_block
 from corrseg import io
 from corrseg.cli import main
-from corrseg.core import ExpressionMatrix, build_gram_prefix, standardize
+from corrseg.core import ExpressionMatrix, block_sums, standardize
 # test_all / test_statistic are aliased so pytest does not collect them
 from corrseg.pipeline import (
     correct_view,
@@ -50,8 +50,7 @@ from corrseg.simulate import (
 
 def table_for(values: np.ndarray):
     m = standardize(as_matrix(values))
-    prefix = build_gram_prefix(m)
-    return m, prefix, build_cost_table(prefix)
+    return m, build_cost_table(m)
 
 
 def library_pipeline(spec, adjust="bh", alpha=0.05):
@@ -79,8 +78,8 @@ def test_c01_closed_form_mle_and_cost_identity():
         ell = int(rng.integers(2, 11))
         n = int(rng.integers(20, 201))
         rho = float(rng.uniform(-0.5 / (ell - 1), 0.95))
-        m, prefix, costs = table_for(cs_block(n, ell, rho, rng))
-        r_hat = rho_hat(prefix.block_sum(0, ell), ell)
+        m, costs = table_for(cs_block(n, ell, rho, rng))
+        r_hat = rho_hat(block_sums(costs.prefix, 0, ell), ell)
 
         # oracle: dense grid search of the exact CS log-likelihood
         gram = (m.values.T @ m.values) / n
@@ -123,7 +122,7 @@ def test_c02_dp_equals_exhaustive_enumeration():
             vals = blocked_matrix(n, p, [(a, b)], 0.05, 0.8, rng)
         else:
             vals = cs_block(n, p, 0.5, rng)
-        _, _, costs = table_for(vals)
+        _, costs = table_for(vals)
         for k in range(1, 5):
             seg = dp_segment(costs, k)
             dp_total = sum(costs.segment_cost(a, b - 1) for a, b in seg.segments())

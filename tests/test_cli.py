@@ -16,11 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corrseg import io
+from corrseg import cli, io, pipeline, segment
 from corrseg.cli import main
-from corrseg.core import ExpressionMatrix, build_gram_prefix, standardize
+from corrseg.core import ExpressionMatrix
 from corrseg.pipeline import segment_all, segmentation_rows, split_by_chromosome
-from corrseg.segment import build_cost_table
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TOY_EXPR = FIXTURES / "toy_expression.tsv"
@@ -156,6 +155,36 @@ class TestSegmentCommand:
         assert code == 3
         assert "chr1_g7" in capsys.readouterr().err
 
+    def test_duplicate_gene_id_exit_3(self, tmp_path, capsys):
+        values = np.random.default_rng(5).normal(size=(4, 4))
+        wide = tmp_path / "wide.tsv"
+        wide.write_text("patient\tg1\tg2\tg2\tg3\n" + "".join(
+            f"P{i + 1}\t" + "\t".join(map(repr, row)) + "\n"
+            for i, row in enumerate(values.tolist())))
+        tall = tmp_path / "tall.tsv"
+        tall.write_text("gene\tP1\tP2\tP3\tP4\n" + "".join(
+            f"{gene}\t" + "\t".join(map(repr, col)) + "\n"
+            for gene, col in zip(["g1", "g2", "g2", "g3"], values.T.tolist())))
+        for path, extra in ((wide, []), (tall, ["--transpose"])):
+            code = main(["segment", "--input", str(path), *extra,
+                         "--out", str(tmp_path / "out")])
+            assert code == 3
+            assert "'g2'" in capsys.readouterr().err
+
+    def test_duplicate_annotation_row_exit_3(self, tmp_path, capsys):
+        rows = read_tsv(TOY_ANN)
+        first = next(i for i, r in enumerate(rows) if r["gene_id"] == "chr1_g3") + 2
+        body = [[r["gene_id"], r["chromosome"], r["start"], r["end"]] for r in rows]
+        body.append(["chr1_g3", "chr2", "500", "600"])
+        dup = tmp_path / "dup.tsv"
+        io.write_rows(dup, ["gene_id", "chromosome", "start", "end"], body)
+        code = main(["segment", "--input", str(TOY_EXPR),
+                     "--annotation", str(dup), "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "chr1_g3" in err
+        assert f"rows {first} and {len(rows) + 2}" in err
+
     def test_bad_threshold_exit_3(self, tmp_path):
         code = main(["segment", "--input", str(TOY_EXPR), "--S", "0",
                      "--out", str(tmp_path)])
@@ -174,6 +203,26 @@ class TestTestCommand:
         ])
         assert code == 3
         assert "chrZ" in capsys.readouterr().err
+
+    def test_builds_no_cost_table(self, tmp_path, monkeypatch):
+        """Scoring a given segmentation needs only its K block sums."""
+        assert main(["segment", "--input", str(TOY_EXPR), "--annotation", str(TOY_ANN),
+                     "--out", str(tmp_path)]) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("test built the p x p cost table")
+
+        for module in (cli, pipeline, segment):
+            monkeypatch.setattr(module, "build_cost_table", refuse, raising=False)
+        code = main([
+            "test", "--input", str(TOY_EXPR), "--annotation", str(TOY_ANN),
+            "--segmentation", str(tmp_path / "segmentation.tsv"), "--out", str(tmp_path),
+        ])
+        assert code == 0
+        reports = io.read_regions(tmp_path / "regions.tsv")
+        assert [(r.start, r.end) for r in reports] == [(a + 1, b) for a, b in TOY_TRUTH]
+        rows = read_tsv(tmp_path / "segmentation.tsv")
+        assert [repr(r.rho_hat) for r in reports] == [row["rho_hat"] for row in rows]
 
     def test_gapped_segmentation_exit_3(self, tmp_path):
         io.write_rows(tmp_path / "seg.tsv",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from corrseg.core import build_gram_prefix, standardize
+from corrseg.core import block_sums, build_gram_prefix, standardize
 from corrseg.correction import (
     AlignedCovariate,
     align_to_genes,
@@ -233,7 +233,7 @@ def covariate_driven_dataset(seed):
 def block_rho(matrix, a, b):
     m = standardize(matrix)
     prefix = build_gram_prefix(m)
-    return rho_hat(prefix.block_sum(a, b), b - a)
+    return rho_hat(block_sums(prefix, a, b), b - a)
 
 def test_correction_removes_x_block_keeps_real_block():
     kept, removed = [], []

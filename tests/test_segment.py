@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from corrseg.core import build_gram_prefix, standardize
+from corrseg.core import block_sums, build_gram_prefix, standardize
 from corrseg.errors import DegenerateNormalizationWarning, KTooLarge
 from corrseg.segment import (
     SegmentCostTable,
@@ -15,6 +15,7 @@ from corrseg.segment import (
     dp_segment,
     penalty,
     rho_hat,
+    segmentation_from_breakpoints,
     select_k,
     slope_change_choice,
 )
@@ -23,7 +24,7 @@ from conftest import as_matrix, blocked_matrix, cs_block
 
 def table_for(values: np.ndarray) -> SegmentCostTable:
     m = standardize(as_matrix(values))
-    return build_cost_table(build_gram_prefix(m))
+    return build_cost_table(m)
 
 def grid_mle(gram: np.ndarray, n: int, step: float) -> float:
     """Independent grid search of the CS profile likelihood via slogdet/solve."""
@@ -54,14 +55,13 @@ def test_cost_matches_rho_form(rng):
     # same cost through the raw block-sum form and the rho-parametrized form
     vals = blocked_matrix(50, 30, [(5, 15)], 0.1, 0.6, rng)
     m = standardize(as_matrix(vals))
-    prefix = build_gram_prefix(m)
-    costs = build_cost_table(prefix)
+    costs = build_cost_table(m)
     n = m.n
     for _ in range(100):
         a = int(rng.integers(0, 29))
         b = int(rng.integers(a + 1, 30))
         ell = b - a + 1
-        r = rho_hat(prefix.block_sum(a, b + 1), ell)
+        r = rho_hat(block_sums(costs.prefix, a, b + 1), ell)
         direct = n * (ell + (ell - 1) * np.log(1 - r) + np.log(1 + (ell - 1) * r))
         assert costs.segment_cost(a, b) == pytest.approx(direct, abs=1e-9)
 
@@ -149,12 +149,42 @@ def test_dp_matches_exhaustive(rng):
 def test_dp_segment_rhos_consistent(rng):
     vals = blocked_matrix(40, 25, [(8, 16)], 0.0, 0.9, rng)
     m = standardize(as_matrix(vals))
-    prefix = build_gram_prefix(m)
-    seg = dp_segment(build_cost_table(prefix), 3)
+    costs = build_cost_table(m)
+    seg = dp_segment(costs, 3)
     for (a, b), r in zip(seg.segments(), seg.rho):
         ell = b - a
-        expect = 0.0 if ell == 1 else rho_hat(prefix.block_sum(a, b), ell)
+        expect = 0.0 if ell == 1 else rho_hat(block_sums(costs.prefix, a, b), ell)
         assert r == pytest.approx(expect, abs=1e-12)
+
+# The committed output digests rely on per-segment estimates matching the
+# cost-table grid bit for bit, so the two tests below compare with ==.
+
+def test_block_sums_at_segment_bounds_equal_grid(rng):
+    m = standardize(as_matrix(blocked_matrix(58, 120, [(30, 70)], 0.1, 0.7, rng)))
+    P = build_gram_prefix(m)
+    p = m.p
+    d = np.diag(P)
+    # reference: the grid as slices of the prefix, S[a, b] over genes a..b
+    grid = d[1:][None, :] - P[:p, 1:] - P[1:, :p].T + d[:p][:, None]
+    idx = np.arange(p)
+    assert np.array_equal(block_sums(P, idx[:, None], idx[None, :] + 1), grid)
+    bps = np.array([0, 1, 17, 30, 70, 71, 119, 120])
+    segment_sums = block_sums(P, bps[:-1], bps[1:])
+    assert np.array_equal(segment_sums, grid[bps[:-1], bps[1:] - 1])
+
+def test_segment_estimates_equal_cost_table(rng):
+    vals = blocked_matrix(58, 80, [(10, 30), (50, 65)], 0.05, 0.8, rng)
+    m = standardize(as_matrix(vals))
+    costs = build_cost_table(m)
+    idx = np.arange(m.p)
+    S = block_sums(costs.prefix, idx[:, None], idx[None, :] + 1)
+    segs = [dp_segment(costs, k) for k in (1, 3, 9)]
+    segs.append(segmentation_from_breakpoints(costs.prefix, costs.n, [0, 1, 2, 40, 79, 80]))
+    for seg in segs:
+        for (a, b), ll, r in zip(seg.segments(), seg.segment_loglik, seg.rho):
+            assert ll == -0.5 * float(costs.cost[a, b - 1])
+            assert r == (0.0 if b - a == 1 else rho_hat(float(S[a, b - 1]), b - a))
+        assert seg.total_loglik == float(sum(seg.segment_loglik))
 
 def test_dp_k_too_large(rng):
     costs = table_for(rng.standard_normal((10, 6)))
@@ -287,7 +317,7 @@ def test_select_k_flat_cost_table_warns():
     for a in range(p):
         for b in range(a, p):
             cost[a, b] = float(n * (b - a + 1))
-    costs = SegmentCostTable(cost=cost, block_sums=np.zeros((p, p)), n=n)
+    costs = SegmentCostTable(cost=cost, prefix=np.zeros((p + 1, p + 1)), n=n)
     with pytest.warns(DegenerateNormalizationWarning):
         trace = select_k(costs, k_max=8)
     assert trace.chosen_K == 1

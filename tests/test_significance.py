@@ -5,7 +5,7 @@ import pytest
 import scipy.stats
 
 from corrseg.chi2 import ChiSquare
-from corrseg.core import build_gram_prefix, standardize
+from corrseg.core import standardize
 from corrseg.errors import EmptyRegion, InvalidRho0
 from corrseg.segment import build_cost_table, dp_segment
 from corrseg.significance import (
@@ -209,7 +209,7 @@ def test_null_calibration_small():
 def test_test_regions_reports(rng):
     vals = blocked_matrix(58, 40, [(10, 25)], 0.05, 0.8, rng)
     m = standardize(as_matrix(vals))
-    seg = dp_segment(build_cost_table(build_gram_prefix(m)), 3)
+    seg = dp_segment(build_cost_table(m), 3)
     reports = regions_for(m, seg, chromosome="chr9")
     assert len(reports) == 3
     assert sum(r.p_k for r in reports) == 40
@@ -231,13 +231,13 @@ def test_test_regions_reports(rng):
 
 def test_test_regions_fixed_rho0(rng):
     m = standardize(as_matrix(rng.standard_normal((20, 10))))
-    seg = dp_segment(build_cost_table(build_gram_prefix(m)), 2)
+    seg = dp_segment(build_cost_table(m), 2)
     reports = regions_for(m, seg, rho0=0.3)
     assert all(r.rho0_used == 0.3 for r in reports)
 
 def test_single_gene_chromosome_untested(rng):
     m = standardize(as_matrix(rng.standard_normal((12, 1))))
-    seg = dp_segment(build_cost_table(build_gram_prefix(m)), 1)
+    seg = dp_segment(build_cost_table(m), 1)
     reports = regions_for(m, seg, chromosome="chrY")
     assert len(reports) == 1
     r = reports[0]
@@ -248,10 +248,10 @@ def test_single_gene_chromosome_untested(rng):
 def test_apply_adjustment_family(rng):
     vals = blocked_matrix(58, 40, [(10, 25)], 0.0, 0.8, rng)
     m = standardize(as_matrix(vals))
-    seg = dp_segment(build_cost_table(build_gram_prefix(m)), 3)
+    seg = dp_segment(build_cost_table(m), 3)
     reports = regions_for(m, seg)
     single = standardize(as_matrix(rng.standard_normal((58, 1))))
-    seg1 = dp_segment(build_cost_table(build_gram_prefix(single)), 1)
+    seg1 = dp_segment(build_cost_table(single), 1)
     reports += regions_for(single, seg1)
     apply_adjustment(reports, "bh", alpha=0.05)
     tested = [r for r in reports if r.tested]

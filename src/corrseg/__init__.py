@@ -30,9 +30,7 @@ from .errors import (
 )
 from .segment import (
     Segmentation,
-    SegmentCostTable,
     SelectionTrace,
-    build_cost_table,
     dp_segment,
     rho_hat,
     select_k,
@@ -73,9 +71,7 @@ __all__ = [
     "KTooLarge",
     "ValidationError",
     "Segmentation",
-    "SegmentCostTable",
     "SelectionTrace",
-    "build_cost_table",
     "dp_segment",
     "rho_hat",
     "select_k",

@@ -20,7 +20,7 @@ from .errors import DegenerateCovariateWarning, NoProbesOnChromosome, TooFewProb
 from .segment import (
     LOG_EPS,
     _backtrack,
-    _dp_tables,
+    _dp_kernel,
     default_k_max,
     penalty,
     slope_change_choice,
@@ -68,19 +68,20 @@ class CovariateTrack:
         return tuple(f.patient for f in self.fits)
 
 
-def _rss_cost_matrix(v: np.ndarray) -> np.ndarray:
-    """Within-segment residual sum of squares for all contiguous segments."""
-    t = len(v)
-    cs = np.concatenate(([0.0], np.cumsum(v)))
-    cs2 = np.concatenate(([0.0], np.cumsum(v * v)))
-    idx = np.arange(t)
-    length = idx[None, :] - idx[:, None] + 1
-    seg_sum = cs[1:][None, :] - cs[:t][:, None]
-    seg_sq = cs2[1:][None, :] - cs2[:t][:, None]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rss = seg_sq - seg_sum * seg_sum / np.maximum(length, 1)
-    rss = np.maximum(rss, 0.0)  # guard tiny negative round-off
-    return np.where(length < 1, np.inf, rss)
+def _rss_cost(values: np.ndarray):
+    """cost(starts, stops) for the kernel: within-segment residual sum of squares."""
+    cs = np.concatenate(([0.0], np.cumsum(values)))
+    cs2 = np.concatenate(([0.0], np.cumsum(values * values)))
+
+    def cost(starts, stops):
+        length = stops - starts
+        seg_sum = cs[stops] - cs[starts]
+        seg_sq = cs2[stops] - cs2[starts]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            rss = seg_sq - seg_sum * seg_sum / np.maximum(length, 1)
+        return np.maximum(rss, 0.0)  # guard tiny negative round-off
+
+    return cost
 
 def _fit_one_series(
     patient: str,
@@ -96,20 +97,18 @@ def _fit_one_series(
     order = np.argsort(positions, kind="stable")
     positions = np.asarray(positions, dtype=float)[order]
     values = np.asarray(values, dtype=float)[order]
-    cost = _rss_cost_matrix(values)
+    cost = _rss_cost(values)
     if fixed_k is not None:
         k = min(max(1, fixed_k), t)
-        _, B = _dp_tables(cost, k)
-        bps = _backtrack(B, k, t)
+        _, B = _dp_kernel(cost, t, k, 1)
     else:
         km = default_k_max(t) if k_max is None else min(k_max, t)
-        D, B = _dp_tables(cost, km)
-        rss_k = D[:, -1]
+        D, B = _dp_kernel(cost, t, km, 1)
         # Gaussian profile log-likelihood of the best K-segment fit
-        L = -(t / 2.0) * np.log(np.maximum(rss_k, LOG_EPS) / t)
+        L = -(t / 2.0) * np.log(np.maximum(D[:, -1], LOG_EPS) / t)
         Kt = np.atleast_1d(np.asarray(penalty(np.arange(1, km + 1), t), dtype=float))
         k, _, _ = slope_change_choice(L, Kt, S, "largest")
-        bps = _backtrack(B, k, t)
+    bps = _backtrack(B, k, t)
     means = tuple(float(values[a:b].mean()) for a, b in zip(bps[:-1], bps[1:]))
     return PatientFit(
         patient=patient,

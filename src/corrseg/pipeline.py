@@ -18,13 +18,11 @@ from .correction import (
     correct_expression,
     segment_covariate,
 )
-from .errors import PatientMismatch, ValidationError
+from .errors import KTooLarge, PatientMismatch, ValidationError
 from .io import natural_key
 from .segment import (
     Segmentation,
-    SegmentCostTable,
     SelectionTrace,
-    build_cost_table,
     dp_segment,
     segmentation_from_breakpoints,
     select_k,
@@ -104,7 +102,6 @@ def split_by_chromosome(
 class ChromosomeResult:
     name: str
     matrix: ExpressionMatrix  # standardized
-    costs: SegmentCostTable
     segmentation: Segmentation
     trace: SelectionTrace | None
 
@@ -118,20 +115,18 @@ def segment_chromosome(
     min_seg_len: int = 1,
     fixed_k: int | None = None,
 ) -> ChromosomeResult:
-    """Standardize, build costs, choose K (unless fixed), and segment."""
+    """Standardize, choose K (unless fixed) and segment, in one DP pass."""
     std = standardize(matrix)
-    costs = build_cost_table(std)
-    if fixed_k is not None:
-        trace = None
-        k = fixed_k
-    elif matrix.p == 1:
-        trace = None
-        k = 1
-    else:
-        trace = select_k(costs, k_max=k_max, S=S, rule=rule, min_seg_len=min_seg_len)
-        k = trace.chosen_K
-    seg = dp_segment(costs, k, min_seg_len=min_seg_len)
-    return ChromosomeResult(name=name, matrix=std, costs=costs, segmentation=seg, trace=trace)
+    try:
+        if fixed_k is not None or matrix.p == 1:
+            trace = None
+            seg = dp_segment(std, 1 if fixed_k is None else fixed_k, min_seg_len=min_seg_len)
+        else:
+            trace = select_k(std, k_max=k_max, S=S, rule=rule, min_seg_len=min_seg_len)
+            seg = trace.segmentation
+    except KTooLarge as exc:
+        raise KTooLarge(f"chromosome {name!r}: {exc}") from exc
+    return ChromosomeResult(name=name, matrix=std, segmentation=seg, trace=trace)
 
 def segment_all(
     views: list[ChromosomeView],

@@ -20,6 +20,8 @@ from .errors import DegenerateNormalizationWarning, KTooLarge
 
 RHO_EPS = 1e-8
 LOG_EPS = 1e-12
+# end points per column tile of the DP kernel
+TILE = 32
 
 
 def rho_hat(block_sum: float, p_k: int) -> float:
@@ -38,31 +40,6 @@ def rho_hat(block_sum: float, p_k: int) -> float:
     return float(min(max(raw, lo), hi))
 
 
-@dataclass(frozen=True)
-class SegmentCostTable:
-    """Materialized -2 * max-log-likelihood for every contiguous segment.
-
-    ``cost[a, b]`` covers genes a..b inclusive (0-based); entries with
-    a > b are +inf. ``prefix`` keeps the Gram prefix sums (see
-    `build_gram_prefix`) so the chosen segments' rho estimates can be
-    read back after the DP.
-    """
-
-    cost: np.ndarray
-    prefix: np.ndarray
-    n: int
-
-    @property
-    def p(self) -> int:
-        return self.cost.shape[0]
-
-    def segment_cost(self, a: int, b: int) -> float:
-        """-2 * max log-likelihood of the segment of genes a..b inclusive."""
-        if not 0 <= a <= b < self.p:
-            raise IndexError(f"invalid segment [{a}, {b}] for p={self.p}")
-        return float(self.cost[a, b])
-
-
 def _closed_form_cost(S: np.ndarray, L: np.ndarray, n: int) -> np.ndarray:
     """Closed-form -2 * max log-likelihood of segments of L genes, block sum S.
 
@@ -79,17 +56,6 @@ def _closed_form_cost(S: np.ndarray, L: np.ndarray, n: int) -> np.ndarray:
         cost = n * (L + (L - 1) * np.log(r1) + np.log(r2))
         single = n * (1.0 + np.log(np.clip(S, LOG_EPS, None)))
     return np.where(L == 1, single, cost)
-
-
-def build_cost_table(std: ExpressionMatrix) -> SegmentCostTable:
-    """Evaluate the closed-form segment cost for all O(p^2) segments at once."""
-    prefix = build_gram_prefix(std)
-    idx = np.arange(std.p)
-    # S[a, b] = block sum over genes a..b inclusive
-    S = block_sums(prefix, idx[:, None], idx[None, :] + 1)
-    L = idx[None, :] - idx[:, None] + 1
-    cost = np.where(L < 1, np.inf, _closed_form_cost(S, L, std.n))
-    return SegmentCostTable(cost=cost, prefix=prefix, n=std.n)
 
 
 @dataclass(frozen=True)
@@ -127,24 +93,39 @@ class Segmentation:
         return list(zip(self.breakpoints[:-1], self.breakpoints[1:]))
 
 
-def _dp_tables(cost: np.ndarray, k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized DP over segment counts 1..k_max.
+def _dp_kernel(cost, m: int, k_max: int, min_seg_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal segmentations of m points into 1..k_max segments, one pass.
 
-    D[k-1, b] = min cost of segmenting genes 0..b into k segments;
-    B[k-1, b] = last gene of the (k-1)-th segment at that optimum.
+    cost(starts, stops) returns the cost of the half-open segments
+    [start, stop), broadcasting its integer arguments; segments shorter
+    than min_seg_len cost +inf. The end point b is walked in tiles of
+    TILE columns, and each tile's segment costs come from one cost call.
+    D[k-1, b] = min cost of splitting points 0..b into k segments;
+    B[k-1, b] = last point of the (k-1)-th segment at that optimum (ties
+    go to the lowest). Rows k <= K do not depend on k_max, so any K up
+    to k_max backtracks from the same B.
     """
-    p = cost.shape[0]
-    D = np.full((k_max, p), np.inf)
-    B = np.zeros((k_max, p), dtype=np.intp)
-    D[0] = cost[0]
-    # shifted[t, b] = cost of segment (t+1)..b, the candidate last segment
-    shifted = np.full((p, p), np.inf)
-    if p > 1:
-        shifted[: p - 1, 1:] = cost[1:, 1:]
-    for k in range(1, k_max):
-        M = D[k - 1][:, None] + shifted
-        D[k] = M.min(axis=0)
-        B[k] = M.argmin(axis=0)
+    D = np.full((k_max, m), np.inf)
+    B = np.zeros((k_max, m), dtype=np.intp)
+    for b0 in range(0, m, TILE):
+        b1 = min(b0 + TILE, m)
+        starts = np.arange(b1)[None, :]
+        stops = np.arange(b0 + 1, b1 + 1)[:, None]
+        # c[b - b0, a] = cost of segment a..b inclusive
+        c = np.where(stops - starts < max(1, min_seg_len), np.inf, cost(starts, stops))
+        D[0, b0:b1] = c[:, 0]
+        # Row k of the tile needs row k-1 only at end points before b, so
+        # each row is filled for the whole tile at once. At p = 2000, c and
+        # M are 0.5 MB each and stay in a core's own cache.
+        M = np.empty((b1 - b0, b1 - 1))
+        ends = np.arange(b1 - b0)
+        for k in range(1, k_max):
+            # M[b - b0, t] = best k segments of 0..t, then segment t+1..b;
+            # t >= b leaves that segment empty, which c prices at +inf
+            np.add(c[:, 1:], D[k - 1, : b1 - 1], out=M)
+            t = M.argmin(axis=1)
+            D[k, b0:b1] = M[ends, t]
+            B[k, b0:b1] = t
     return D, B
 
 def _backtrack(B: np.ndarray, k: int, p: int) -> list[int]:
@@ -183,21 +164,24 @@ def segmentation_from_breakpoints(
         total_loglik=float(sum(seg_ll)),
     )
 
-def _masked_cost(costs: SegmentCostTable, min_seg_len: int) -> np.ndarray:
-    if min_seg_len <= 1:
-        return costs.cost
-    p = costs.p
-    idx = np.arange(p)
-    length = idx[None, :] - idx[:, None] + 1
-    return np.where(length >= min_seg_len, costs.cost, np.inf)
+def _expression_dp(std: ExpressionMatrix, k_max: int, min_seg_len: int):
+    """Gram prefix plus the kernel's D and B under the closed-form cost."""
+    prefix = build_gram_prefix(std)
+    n = std.n
 
-def dp_segment(costs: SegmentCostTable, K: int, min_seg_len: int = 1) -> Segmentation:
-    """Globally optimal segmentation into exactly K contiguous segments."""
-    p = costs.p
+    def cost(starts, stops):
+        return _closed_form_cost(block_sums(prefix, starts, stops), stops - starts, n)
+
+    return (prefix, *_dp_kernel(cost, std.p, k_max, min_seg_len))
+
+
+def dp_segment(std: ExpressionMatrix, K: int, min_seg_len: int = 1) -> Segmentation:
+    """Globally optimal segmentation of a standardized matrix into exactly K segments."""
+    p = std.p
     if K < 1 or K * max(1, min_seg_len) > p:
         raise KTooLarge(f"K={K} infeasible for p={p} (min segment {min_seg_len})")
-    _, B = _dp_tables(_masked_cost(costs, min_seg_len), K)
-    return segmentation_from_breakpoints(costs.prefix, costs.n, _backtrack(B, K, p))
+    prefix, _, B = _expression_dp(std, K, min_seg_len)
+    return segmentation_from_breakpoints(prefix, std.n, _backtrack(B, K, p))
 
 
 def default_k_max(p: int) -> int:
@@ -215,7 +199,8 @@ class SelectionTrace:
     compares consecutive slopes of the curve rescaled per unit of penalty;
     second_diffs[i] is that slope change centered at K = i + 2, and
     chosen_K is the largest (or smallest, per rule) K whose slope change
-    exceeds threshold_S, falling back to 1.
+    exceeds threshold_S, falling back to 1. segmentation is the optimum
+    with chosen_K segments, backtracked from the same DP pass as L.
     """
 
     L: tuple[float, ...]
@@ -224,6 +209,7 @@ class SelectionTrace:
     second_diffs: tuple[float, ...]
     chosen_K: int
     threshold_S: float
+    segmentation: Segmentation
     rule: str = "largest"
     degenerate: bool = False
 
@@ -264,26 +250,29 @@ def slope_change_choice(
     raise ValueError(f"unknown selection rule {rule!r}")
 
 def select_k(
-    costs: SegmentCostTable,
+    std: ExpressionMatrix,
     k_max: int | None = None,
     S: float = 0.7,
     rule: str = "largest",
     min_seg_len: int = 1,
 ) -> SelectionTrace:
-    """Choose the number of segments by the slope-change criterion.
+    """Choose the number of segments of a standardized matrix by slope change.
 
-    Runs one DP pass up to k_max, normalizes the likelihood curve, and
-    scans the slope changes. A flat curve (no likelihood gain from
-    segmenting at all) triggers a warning and returns K = 1.
+    Runs one DP pass up to k_max, normalizes the likelihood curve, scans
+    the slope changes, and backtracks the chosen K from the same pass. A
+    flat curve (no likelihood gain from segmenting at all) triggers a
+    warning and returns K = 1.
     """
-    p = costs.p
+    p = std.p
     if k_max is None:
         k_max = default_k_max(p)
+    if min_seg_len > p:
+        raise KTooLarge(f"min_seg_len={min_seg_len} (--min-seg) exceeds p={p}")
     if min_seg_len > 1:
         k_max = min(k_max, p // min_seg_len)
     if k_max < 1 or k_max > p:
-        raise KTooLarge(f"k_max={k_max} out of range for p={p}")
-    D, _ = _dp_tables(_masked_cost(costs, min_seg_len), k_max)
+        raise KTooLarge(f"k_max={k_max} (--kmax) out of range for p={p}")
+    prefix, D, B = _expression_dp(std, k_max, min_seg_len)
     L = -0.5 * D[:, -1]
     Kt = penalty(np.arange(1, k_max + 1), p)
     Kt = np.atleast_1d(np.asarray(Kt, dtype=float))
@@ -306,6 +295,7 @@ def select_k(
         second_diffs=tuple(float(v) for v in d),
         chosen_K=chosen,
         threshold_S=S,
+        segmentation=segmentation_from_breakpoints(prefix, std.n, _backtrack(B, chosen, p)),
         rule=rule,
         degenerate=degenerate,
     )

@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from corrseg.core import ExpressionMatrix
+from corrseg.core import ExpressionMatrix, block_sums, build_gram_prefix
+from corrseg.segment import _closed_form_cost
 
 
 def cs_block(n: int, p: int, rho: float, rng: np.random.Generator) -> np.ndarray:
@@ -55,6 +56,16 @@ def as_matrix(values: np.ndarray, standardized: bool = False) -> ExpressionMatri
         gene_ids=tuple(f"g{j + 1}" for j in range(p)),
         standardized=standardized,
     )
+
+def cost_grid(m: ExpressionMatrix) -> np.ndarray:
+    """C[a, b] = closed-form cost of genes [a, b) of a standardized matrix.
+
+    Every segment of the grid comes from one vectorized call, as in the
+    DP's tiles; entries with b <= a are meaningless.
+    """
+    idx = np.arange(m.p + 1)
+    S = block_sums(build_gram_prefix(m), idx[:, None], idx[None, :])
+    return _closed_form_cost(S, idx[None, :] - idx[:, None], m.n)
 
 
 @pytest.fixture

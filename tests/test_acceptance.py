@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import as_matrix, blocked_matrix, cs_block
+from conftest import as_matrix, blocked_matrix, cost_grid, cs_block
 from corrseg import io
 from corrseg.cli import main
-from corrseg.core import ExpressionMatrix, block_sums, standardize
+from corrseg.core import ExpressionMatrix, block_sums, build_gram_prefix, standardize
 # test_all / test_statistic are aliased so pytest does not collect them
 from corrseg.pipeline import (
     correct_view,
@@ -28,7 +28,7 @@ from corrseg.pipeline import (
     split_by_chromosome,
     test_all as run_tests,
 )
-from corrseg.segment import build_cost_table, dp_segment, rho_hat
+from corrseg.segment import dp_segment, rho_hat
 from corrseg.significance import (
     estimate_rho0,
     lambda_factor,
@@ -50,7 +50,7 @@ from corrseg.simulate import (
 
 def table_for(values: np.ndarray):
     m = standardize(as_matrix(values))
-    return m, build_cost_table(m)
+    return m, cost_grid(m)
 
 
 def library_pipeline(spec, adjust="bh", alpha=0.05):
@@ -78,8 +78,8 @@ def test_c01_closed_form_mle_and_cost_identity():
         ell = int(rng.integers(2, 11))
         n = int(rng.integers(20, 201))
         rho = float(rng.uniform(-0.5 / (ell - 1), 0.95))
-        m, costs = table_for(cs_block(n, ell, rho, rng))
-        r_hat = rho_hat(block_sums(costs.prefix, 0, ell), ell)
+        m, C = table_for(cs_block(n, ell, rho, rng))
+        r_hat = rho_hat(block_sums(build_gram_prefix(m), 0, ell), ell)
 
         # oracle: dense grid search of the exact CS log-likelihood
         gram = (m.values.T @ m.values) / n
@@ -100,7 +100,7 @@ def test_c01_closed_form_mle_and_cost_identity():
         # cost identity, rho-parametrized form computed independently
         expected = n * (ell + (ell - 1) * math.log(1.0 - r_hat)
                         + math.log(1.0 + (ell - 1) * r_hat))
-        assert costs.segment_cost(0, ell - 1) == pytest.approx(expected, abs=1e-9)
+        assert C[0, ell] == pytest.approx(expected, abs=1e-9)
     assert time.monotonic() - t0 < 60.0
 
 
@@ -122,13 +122,12 @@ def test_c02_dp_equals_exhaustive_enumeration():
             vals = blocked_matrix(n, p, [(a, b)], 0.05, 0.8, rng)
         else:
             vals = cs_block(n, p, 0.5, rng)
-        _, costs = table_for(vals)
+        m, C = table_for(vals)
         for k in range(1, 5):
-            seg = dp_segment(costs, k)
-            dp_total = sum(costs.segment_cost(a, b - 1) for a, b in seg.segments())
+            seg = dp_segment(m, k)
+            dp_total = sum(C[a, b] for a, b in seg.segments())
             brute = min(
-                sum(costs.segment_cost(bounds[i], bounds[i + 1] - 1)
-                    for i in range(k))
+                sum(C[bounds[i], bounds[i + 1]] for i in range(k))
                 for cuts in itertools.combinations(range(1, p), k - 1)
                 for bounds in ([0, *cuts, p],)
             )

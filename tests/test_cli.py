@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corrseg import cli, io, pipeline, segment
+from corrseg import correction, io, segment
 from corrseg.cli import main
 from corrseg.core import ExpressionMatrix
 from corrseg.pipeline import segment_all, segmentation_rows, split_by_chromosome
@@ -190,6 +190,16 @@ class TestSegmentCommand:
                      "--out", str(tmp_path)])
         assert code == 3
 
+    @pytest.mark.parametrize("flag", ["--kmax", "--min-seg"])
+    def test_infeasible_segment_flag_names_chromosome(self, tmp_path, capsys, flag):
+        code = main(["segment", "--input", str(TOY_EXPR), "--annotation", str(TOY_ANN),
+                     flag, "100", "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "chromosome 'chr1'" in err
+        assert "p=60" in err
+        assert flag in err
+
 
 class TestTestCommand:
     def test_unknown_chromosome_exit_3(self, tmp_path, capsys):
@@ -204,16 +214,18 @@ class TestTestCommand:
         assert code == 3
         assert "chrZ" in capsys.readouterr().err
 
-    def test_builds_no_cost_table(self, tmp_path, monkeypatch):
-        """Scoring a given segmentation needs only its K block sums."""
-        assert main(["segment", "--input", str(TOY_EXPR), "--annotation", str(TOY_ANN),
-                     "--out", str(tmp_path)]) == 0
+    def test_runs_no_dp(self, tmp_path, monkeypatch):
+        """Scoring a given segmentation needs only its K block sums, no DP."""
+        segment_args = ["segment", "--input", str(TOY_EXPR), "--annotation", str(TOY_ANN)]
+        assert main([*segment_args, "--out", str(tmp_path)]) == 0
 
         def refuse(*args, **kwargs):
-            raise AssertionError("test built the p x p cost table")
+            raise AssertionError("ran the segmentation DP")
 
-        for module in (cli, pipeline, segment):
-            monkeypatch.setattr(module, "build_cost_table", refuse, raising=False)
+        for module in (segment, correction):
+            monkeypatch.setattr(module, "_dp_kernel", refuse)
+        with pytest.raises(AssertionError, match="segmentation DP"):
+            main([*segment_args, "--out", str(tmp_path / "refused")])
         code = main([
             "test", "--input", str(TOY_EXPR), "--annotation", str(TOY_ANN),
             "--segmentation", str(tmp_path / "segmentation.tsv"), "--out", str(tmp_path),

@@ -1,5 +1,7 @@
 """Covariate segmentation, gene alignment, and regression correction."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -7,6 +9,7 @@ import scipy.stats
 from corrseg.core import block_sums, build_gram_prefix, standardize
 from corrseg.correction import (
     AlignedCovariate,
+    _rss_cost,
     align_to_genes,
     correct_expression,
     segment_covariate,
@@ -16,7 +19,7 @@ from corrseg.errors import (
     NoProbesOnChromosome,
     TooFewProbes,
 )
-from corrseg.segment import build_cost_table, dp_segment, rho_hat
+from corrseg.segment import _dp_kernel, rho_hat
 from corrseg.significance import estimate_rho0
 from conftest import as_matrix, blocked_matrix
 
@@ -73,6 +76,28 @@ def test_segment_means_are_segment_averages(rng):
         zip(fit.breakpoints[:-1], fit.breakpoints[1:]), fit.means
     ):
         assert mu == pytest.approx(vals[a:b].mean(), abs=1e-12)
+
+def rss_of(vals, bounds):
+    """Within-segment residual sum of squares, two-pass per segment."""
+    return sum(((vals[a:b] - vals[a:b].mean()) ** 2).sum() for a, b in zip(bounds, bounds[1:]))
+
+def test_covariate_dp_equals_enumeration():
+    rng = np.random.default_rng(909)
+    for case in range(40):
+        t = int(rng.integers(2, 10))
+        vals = rng.standard_normal(t) + rng.choice([0.0, 2.5], size=t).cumsum()
+        if case % 4 == 0:
+            vals = np.round(vals)  # repeated values: tied optima
+        D, _ = _dp_kernel(_rss_cost(vals), t, t, 1)
+        for k in range(1, t + 1):
+            best = min(
+                rss_of(vals, [0, *cuts, t])
+                for cuts in itertools.combinations(range(1, t), k - 1)
+            )
+            assert D[k - 1, -1] == pytest.approx(best, abs=1e-9)
+            fit = segment_covariate(track_for({"P1": vals}), fixed_k=k).fits[0]
+            assert len(fit.breakpoints) == k + 1
+            assert rss_of(vals, fit.breakpoints) == pytest.approx(best, abs=1e-9)
 
 def test_unsorted_positions_are_sorted():
     pos = np.array([30.0, 10.0, 20.0])

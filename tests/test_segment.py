@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from corrseg.core import block_sums, build_gram_prefix, standardize
+from corrseg import segment
 from corrseg.errors import DegenerateNormalizationWarning, KTooLarge
+from corrseg.pipeline import segment_chromosome
 from corrseg.segment import (
-    SegmentCostTable,
-    build_cost_table,
+    TILE,
+    _closed_form_cost,
+    _dp_kernel,
     default_k_max,
     dp_segment,
     penalty,
@@ -19,12 +22,11 @@ from corrseg.segment import (
     select_k,
     slope_change_choice,
 )
-from conftest import as_matrix, blocked_matrix, cs_block
+from conftest import as_matrix, blocked_matrix, cost_grid, cs_block
 
 
-def table_for(values: np.ndarray) -> SegmentCostTable:
-    m = standardize(as_matrix(values))
-    return build_cost_table(m)
+def std_for(values: np.ndarray):
+    return standardize(as_matrix(values))
 
 def grid_mle(gram: np.ndarray, n: int, step: float) -> float:
     """Independent grid search of the CS profile likelihood via slogdet/solve."""
@@ -47,23 +49,24 @@ def grid_mle(gram: np.ndarray, n: int, step: float) -> float:
 # ---------------------------------------------------------------- costs
 
 def test_singleton_cost_is_n(rng):
-    costs = table_for(rng.standard_normal((37, 8)))
+    C = cost_grid(std_for(rng.standard_normal((37, 8))))
     for j in range(8):
-        assert costs.segment_cost(j, j) == pytest.approx(37.0, abs=1e-9)
+        assert C[j, j + 1] == pytest.approx(37.0, abs=1e-9)
 
 def test_cost_matches_rho_form(rng):
     # same cost through the raw block-sum form and the rho-parametrized form
     vals = blocked_matrix(50, 30, [(5, 15)], 0.1, 0.6, rng)
     m = standardize(as_matrix(vals))
-    costs = build_cost_table(m)
+    prefix = build_gram_prefix(m)
+    C = cost_grid(m)
     n = m.n
     for _ in range(100):
         a = int(rng.integers(0, 29))
         b = int(rng.integers(a + 1, 30))
         ell = b - a + 1
-        r = rho_hat(block_sums(costs.prefix, a, b + 1), ell)
+        r = rho_hat(block_sums(prefix, a, b + 1), ell)
         direct = n * (ell + (ell - 1) * np.log(1 - r) + np.log(1 + (ell - 1) * r))
-        assert costs.segment_cost(a, b) == pytest.approx(direct, abs=1e-9)
+        assert C[a, b + 1] == pytest.approx(direct, abs=1e-9)
 
 def test_rho_hat_endpoints():
     # S = ell means zero average off-diagonal correlation
@@ -78,10 +81,10 @@ def test_duplicated_block_cost_strongly_negative():
     rng = np.random.default_rng(5)
     col = rng.standard_normal(40)
     vals = np.column_stack([col, col, col, rng.standard_normal(40)])
-    costs = table_for(vals)
+    C = cost_grid(std_for(vals))
     # log(1 - rho) with rho clamped at 1 - 1e-8 dominates
-    assert costs.segment_cost(0, 2) < -400.0
-    assert np.isfinite(costs.segment_cost(0, 2))
+    assert C[0, 3] < -400.0
+    assert np.isfinite(C[0, 3])
 
 def test_rho_hat_matches_grid_mle_small(rng):
     for _ in range(10):
@@ -104,23 +107,20 @@ def test_rho_hat_consistency_large_sample():
 
 # ------------------------------------------------------------------- DP
 
-def exhaustive_optimum(costs: SegmentCostTable, k: int) -> float:
-    p = costs.p
+def exhaustive_optimum(C: np.ndarray, k: int) -> float:
+    p = C.shape[0] - 1
     best = np.inf
     for cuts in itertools.combinations(range(1, p), k - 1):
         bounds = [0, *cuts, p]
-        total = sum(
-            costs.segment_cost(bounds[i], bounds[i + 1] - 1) for i in range(k)
-        )
-        best = min(best, total)
+        best = min(best, sum(C[bounds[i], bounds[i + 1]] for i in range(k)))
     return best
 
 def test_dp_trivial_k(rng):
-    costs = table_for(rng.standard_normal((20, 9)))
-    one = dp_segment(costs, 1)
+    m = std_for(rng.standard_normal((20, 9)))
+    one = dp_segment(m, 1)
     assert one.breakpoints == (0, 9)
-    assert one.total_loglik == pytest.approx(-0.5 * costs.segment_cost(0, 8))
-    full = dp_segment(costs, 9)
+    assert one.total_loglik == pytest.approx(-0.5 * cost_grid(m)[0, 9])
+    full = dp_segment(m, 9)
     assert full.breakpoints == tuple(range(10))
     # every singleton costs n on standardized data
     assert full.total_loglik == pytest.approx(-0.5 * 9 * 20)
@@ -138,26 +138,27 @@ def test_dp_matches_exhaustive(rng):
             vals = blocked_matrix(n, p, [(a, b)], 0.05, 0.8, rng)
         else:
             vals = cs_block(n, p, 0.5, rng)
-        costs = table_for(vals)
+        m = std_for(vals)
+        C = cost_grid(m)
         for k in range(1, min(4, p) + 1):
-            seg = dp_segment(costs, k)
+            seg = dp_segment(m, k)
             assert -2.0 * seg.total_loglik == pytest.approx(
-                exhaustive_optimum(costs, k), abs=1e-8
+                exhaustive_optimum(C, k), abs=1e-8
             )
             assert seg.K == k
 
 def test_dp_segment_rhos_consistent(rng):
     vals = blocked_matrix(40, 25, [(8, 16)], 0.0, 0.9, rng)
     m = standardize(as_matrix(vals))
-    costs = build_cost_table(m)
-    seg = dp_segment(costs, 3)
+    prefix = build_gram_prefix(m)
+    seg = dp_segment(m, 3)
     for (a, b), r in zip(seg.segments(), seg.rho):
         ell = b - a
-        expect = 0.0 if ell == 1 else rho_hat(block_sums(costs.prefix, a, b), ell)
+        expect = 0.0 if ell == 1 else rho_hat(block_sums(prefix, a, b), ell)
         assert r == pytest.approx(expect, abs=1e-12)
 
 # The committed output digests rely on per-segment estimates matching the
-# cost-table grid bit for bit, so the two tests below compare with ==.
+# DP's segment costs bit for bit, so the two tests below compare with ==.
 
 def test_block_sums_at_segment_bounds_equal_grid(rng):
     m = standardize(as_matrix(blocked_matrix(58, 120, [(30, 70)], 0.1, 0.7, rng)))
@@ -175,35 +176,37 @@ def test_block_sums_at_segment_bounds_equal_grid(rng):
 def test_segment_estimates_equal_cost_table(rng):
     vals = blocked_matrix(58, 80, [(10, 30), (50, 65)], 0.05, 0.8, rng)
     m = standardize(as_matrix(vals))
-    costs = build_cost_table(m)
-    idx = np.arange(m.p)
-    S = block_sums(costs.prefix, idx[:, None], idx[None, :] + 1)
-    segs = [dp_segment(costs, k) for k in (1, 3, 9)]
-    segs.append(segmentation_from_breakpoints(costs.prefix, costs.n, [0, 1, 2, 40, 79, 80]))
+    prefix = build_gram_prefix(m)
+    C = cost_grid(m)
+    idx = np.arange(m.p + 1)
+    S = block_sums(prefix, idx[:, None], idx[None, :])
+    segs = [dp_segment(m, k) for k in (1, 3, 9)]
+    segs.append(segmentation_from_breakpoints(prefix, m.n, [0, 1, 2, 40, 79, 80]))
     for seg in segs:
         for (a, b), ll, r in zip(seg.segments(), seg.segment_loglik, seg.rho):
-            assert ll == -0.5 * float(costs.cost[a, b - 1])
-            assert r == (0.0 if b - a == 1 else rho_hat(float(S[a, b - 1]), b - a))
+            assert ll == -0.5 * float(C[a, b])
+            assert r == (0.0 if b - a == 1 else rho_hat(float(S[a, b]), b - a))
         assert seg.total_loglik == float(sum(seg.segment_loglik))
 
 def test_dp_k_too_large(rng):
-    costs = table_for(rng.standard_normal((10, 6)))
+    m = std_for(rng.standard_normal((10, 6)))
     with pytest.raises(KTooLarge):
-        dp_segment(costs, 7)
+        dp_segment(m, 7)
     with pytest.raises(KTooLarge):
-        dp_segment(costs, 0)
+        dp_segment(m, 0)
 
 def test_min_seg_len(rng):
-    costs = table_for(rng.standard_normal((15, 12)))
-    seg = dp_segment(costs, 4, min_seg_len=3)
+    m = std_for(rng.standard_normal((15, 12)))
+    seg = dp_segment(m, 4, min_seg_len=3)
     assert all(b - a >= 3 for a, b in seg.segments())
     with pytest.raises(KTooLarge):
-        dp_segment(costs, 5, min_seg_len=3)
+        dp_segment(m, 5, min_seg_len=3)
 
 def test_min_seg_len_exhaustive(rng):
-    costs = table_for(rng.standard_normal((18, 10)))
+    m = std_for(rng.standard_normal((18, 10)))
+    C = cost_grid(m)
     for k in (2, 3):
-        seg = dp_segment(costs, k, min_seg_len=2)
+        seg = dp_segment(m, k, min_seg_len=2)
         best = np.inf
         for cuts in itertools.combinations(range(1, 10), k - 1):
             bounds = [0, *cuts, 10]
@@ -211,9 +214,68 @@ def test_min_seg_len_exhaustive(rng):
                 continue
             best = min(
                 best,
-                sum(costs.segment_cost(bounds[i], bounds[i + 1] - 1) for i in range(k)),
+                sum(C[bounds[i], bounds[i + 1]] for i in range(k)),
             )
         assert -2.0 * seg.total_loglik == pytest.approx(best, abs=1e-8)
+
+
+def reference_dp(C: np.ndarray, k_max: int, min_seg_len: int):
+    """Textbook DP over the cost grid, one (k, b) cell at a time."""
+    p = C.shape[0] - 1
+    D = np.full((k_max, p), np.inf)
+    B = np.zeros((k_max, p), dtype=np.intp)
+    for b in range(min_seg_len - 1, p):
+        D[0, b] = C[0, b + 1]
+    for k in range(1, k_max):
+        for b in range(1, p):
+            # last segment t+1..b, at least min_seg_len genes
+            t = np.arange(b - min_seg_len + 1)
+            if t.size == 0:
+                continue
+            total = D[k - 1, t] + C[t + 1, b + 1]
+            D[k, b] = total.min()
+            B[k, b] = t[total.argmin()]
+    return D, B
+
+@pytest.mark.parametrize("min_seg_len", [1, 3])
+def test_kernel_matches_reference_dp_across_tiles(min_seg_len):
+    # p spans several column tiles and ends inside one, so tile seams and
+    # a partial last tile are covered
+    rng = np.random.default_rng(17)
+    p = 4 * TILE + 45
+    m = std_for(blocked_matrix(30, p, [(20, 60), (120, 150)], 0.05, 0.7, rng))
+    C = cost_grid(m)
+    prefix = build_gram_prefix(m)
+
+    def cost(starts, stops):
+        return _closed_form_cost(block_sums(prefix, starts, stops), stops - starts, m.n)
+
+    # b + 1 segments of points 0..b are all singletons, so rows up to past
+    # the second tile's last end point use the in-tile predecessor t = b - 1
+    k_max = 2 * TILE + 6
+    D, B = _dp_kernel(cost, p, k_max, min_seg_len)
+    D_ref, B_ref = reference_dp(C, k_max, min_seg_len)
+    finite = np.isfinite(D_ref)
+    assert np.array_equal(D, D_ref)
+    assert np.array_equal(B[finite], B_ref[finite])
+
+@pytest.mark.parametrize("min_seg_len", [1, 2])
+def test_selection_segments_from_the_same_pass(rng, monkeypatch, min_seg_len):
+    # one k_max pass per chromosome; the chosen K backtracks from it and a
+    # fresh pass with K rows agrees
+    passes = []
+
+    def counted(cost, m, k_max, min_seg_len):
+        passes.append(k_max)
+        return _dp_kernel(cost, m, k_max, min_seg_len)
+
+    monkeypatch.setattr(segment, "_dp_kernel", counted)
+    vals = blocked_matrix(58, 90, [(20, 45), (60, 75)], 0.05, 0.8, rng)
+    res = segment_chromosome(as_matrix(vals), k_max=30, min_seg_len=min_seg_len)
+    assert passes == [30]
+    assert res.trace.chosen_K > 1
+    assert res.segmentation == res.trace.segmentation
+    assert res.segmentation == dp_segment(res.matrix, res.trace.chosen_K, min_seg_len=min_seg_len)
 
 
 # -------------------------------------------------------------- selection
@@ -234,7 +296,7 @@ def test_select_k_recovers_planted_block():
     for seed in range(20):
         rng = np.random.default_rng([41, seed])
         vals = blocked_matrix(58, 60, [(20, 40)], 0.0, 0.9, rng)
-        trace = select_k(table_for(vals))
+        trace = select_k(std_for(vals))
         if trace.chosen_K == 3:
             hits += 1
     assert hits >= 18
@@ -243,7 +305,7 @@ def test_select_k_pure_noise_prefers_one():
     hits = 0
     for seed in range(20):
         rng = np.random.default_rng([42, seed])
-        trace = select_k(table_for(rng.standard_normal((58, 60))))
+        trace = select_k(std_for(rng.standard_normal((58, 60))))
         if trace.chosen_K == 1:
             hits += 1
     assert hits >= 18
@@ -255,13 +317,13 @@ def test_select_k_globally_correlated_no_warning():
     vals = cs_block(58, 60, 0.5, rng)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        trace = select_k(table_for(vals))
+        trace = select_k(std_for(vals))
     assert trace.chosen_K == 1
     assert not trace.degenerate
 
 def test_select_k_trace_shape(rng):
     vals = blocked_matrix(58, 80, [(30, 50)], 0.05, 0.8, rng)
-    trace = select_k(table_for(vals), k_max=16)
+    trace = select_k(std_for(vals), k_max=16)
     assert len(trace.L) == 16
     assert len(trace.Ktilde) == 16
     assert len(trace.second_diffs) == 14
@@ -311,23 +373,28 @@ def test_slope_change_smallest_rule():
         slope_change_choice(L, kt, 0.01, rule="median")
 
 def test_select_k_flat_cost_table_warns():
-    # a constant-per-gene cost table makes every K equally likely
-    p, n = 12, 20
-    cost = np.full((p, p), np.inf)
-    for a in range(p):
-        for b in range(a, p):
-            cost[a, b] = float(n * (b - a + 1))
-    costs = SegmentCostTable(cost=cost, prefix=np.zeros((p + 1, p + 1)), n=n)
-    with pytest.warns(DegenerateNormalizationWarning):
-        trace = select_k(costs, k_max=8)
+    # Sylvester-Hadamard columns 1..12 are orthogonal, centred and +-1, so
+    # standardizing leaves them as they are, G = I, every segment of L genes
+    # costs n * L, and every K is equally likely
+    h = np.array([[1.0]])
+    for _ in range(4):
+        h = np.block([[h, h], [h, -h]])
+    m = standardize(as_matrix(h[:, 1:13]))
+    assert np.array_equal(m.values, h[:, 1:13])
+    with pytest.warns(DegenerateNormalizationWarning) as caught:
+        trace = select_k(m, k_max=8)
+    assert len(caught) == 1
+    assert trace.L == (-0.5 * 16 * 12,) * 8
     assert trace.chosen_K == 1
     assert trace.degenerate
     assert trace.Ltilde == tuple(np.ones(8))
 
 def test_select_k_respects_k_max_bounds(rng):
-    costs = table_for(rng.standard_normal((20, 10)))
+    m = std_for(rng.standard_normal((20, 10)))
     with pytest.raises(KTooLarge):
-        select_k(costs, k_max=11)
-    trace = select_k(costs, k_max=1)
+        select_k(m, k_max=11)
+    with pytest.raises(KTooLarge, match="min_seg_len=11"):
+        select_k(m, min_seg_len=11)
+    trace = select_k(m, k_max=1)
     assert trace.chosen_K == 1
     assert trace.second_diffs == ()

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,20 @@ def _parse_float(field: str, where: str) -> float:
         raise MissingValues(f"{where}: non-finite value {field!r}")
     return value
 
+def _parse_floats(fields: list[str], where: Callable[[int], str]) -> np.ndarray:
+    """Parse cells as _parse_float does, in one numpy conversion.
+
+    numpy converts str with float(), so cells and bits match; a bad cell
+    reruns the per-cell loop, which names the first one as where(k).
+    """
+    try:
+        values = np.array(fields, dtype=float)
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    return np.array([_parse_float(field, where(k)) for k, field in enumerate(fields)])
+
 
 def read_expression(path: str | Path, transpose: bool = False) -> ExpressionMatrix:
     """Read a delimited expression matrix.
@@ -81,17 +96,11 @@ def read_expression(path: str | Path, transpose: bool = False) -> ExpressionMatr
         raise IngestionError(
             f"{path}: header has {len(header)} fields but rows have {width}"
         )
-    row_ids = []
-    values = np.empty((len(data), width - (1 if labeled else 0)))
-    for i, row in enumerate(data):
-        if labeled:
-            row_ids.append(row[0].strip())
-            fields = row[1:]
-        else:
-            row_ids.append(f"R{i + 1:03d}")
-            fields = row
-        for j, field in enumerate(fields):
-            values[i, j] = _parse_float(field, f"{path}: row {i + 2}, column {j + 1}")
+    w = width - (1 if labeled else 0)
+    row_ids = [row[0].strip() if labeled else f"R{i + 1:03d}" for i, row in enumerate(data)]
+    cells = [field for row in data for field in (row[1:] if labeled else row)]
+    values = _parse_floats(cells, lambda k: f"{path}: row {k // w + 2}, column {k % w + 1}")
+    values = values.reshape(len(data), w)
     col_ids = [h.strip() for h in header]
     if transpose:
         values = values.T
@@ -179,24 +188,24 @@ def read_covariate_long(
             pi, ci, xi, vi = 0, 1, 2, 3
         else:
             raise IngestionError(f"{path}: covariate needs patient, position, value")
-    acc: dict[str, dict[str, list[tuple[float, float]]]] = {}
+    need = max(k for k in (pi, ci, xi, vi) if k is not None)
+    short = next((i for i, row in enumerate(data) if len(row) <= need), len(data))
+    # cells above the first short row are parsed first, so the first fault in file order is named
+    cells = [row[k] for row in data[:short] for k in (xi, vi)]
+    parsed = _parse_floats(cells, lambda j: f"{path}: row {j // 2 + 2}").reshape(-1, 2)
+    if short < len(data):
+        raise IngestionError(f"{path}: row {short + 2}: too few fields")
+    groups: dict[str, dict[str, list[int]]] = {}
     for i, row in enumerate(data):
-        where = f"{path}: row {i + 2}"
-        if len(row) <= max(pi, xi, vi):
-            raise IngestionError(f"{where}: too few fields")
-        patient = row[pi].strip()
-        chrom = row[ci].strip() if ci is not None and ci < len(row) else "all"
-        pos = _parse_float(row[xi], where)
-        val = _parse_float(row[vi], where)
-        acc.setdefault(chrom, {}).setdefault(patient, []).append((pos, val))
+        chrom = row[ci].strip() if ci is not None else "all"
+        groups.setdefault(chrom, {}).setdefault(row[pi].strip(), []).append(i)
     out: dict[str, dict[str, tuple[np.ndarray, np.ndarray]]] = {}
-    for chrom, patients in acc.items():
+    for chrom, patients in groups.items():
         out[chrom] = {}
-        for patient, pairs in patients.items():
-            pairs.sort()
-            pos = np.array([a for a, _ in pairs])
-            val = np.array([b for _, b in pairs])
-            out[chrom][patient] = (pos, val)
+        for patient, idx in patients.items():
+            pos, val = parsed[idx].T
+            order = np.lexsort((val, pos))
+            out[chrom][patient] = (pos[order], val[order])
     return out
 
 def read_covariate_wide(
@@ -292,6 +301,8 @@ def read_segmentation(path: str | Path) -> dict[str, list[tuple[int, int]]]:
             end = int(row[ei])
         except (ValueError, IndexError) as exc:
             raise SchemaError(f"{where}: bad start/end") from exc
+        if len(row) <= ci:
+            raise SchemaError(f"{where}: too few fields")
         if start < 1 or end < start:
             raise SchemaError(f"{where}: bad bounds {start}-{end}")
         out.setdefault(row[ci].strip(), []).append((start - 1, end))

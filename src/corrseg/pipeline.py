@@ -113,14 +113,13 @@ def segment_chromosome(
     k_max: int | None = None,
     rule: str = "largest",
     min_seg_len: int = 1,
-    fixed_k: int | None = None,
 ) -> ChromosomeResult:
-    """Standardize, choose K (unless fixed) and segment, in one DP pass."""
+    """Standardize, choose K and segment, in one DP pass."""
     std = standardize(matrix)
     try:
-        if fixed_k is not None or matrix.p == 1:
+        if matrix.p == 1:
             trace = None
-            seg = dp_segment(std, 1 if fixed_k is None else fixed_k, min_seg_len=min_seg_len)
+            seg = dp_segment(std, 1, min_seg_len=min_seg_len)
         else:
             trace = select_k(std, k_max=k_max, S=S, rule=rule, min_seg_len=min_seg_len)
             seg = trace.segmentation

@@ -139,6 +139,18 @@ class TestSegmentCommand:
         code = main(["segment", "--input", str(bad), "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("cell,message", [
+        ("x", "non-numeric value 'x'"),
+        ("NA", "missing value"),
+        ("1e400", "non-finite value '1e400'"),
+    ])
+    def test_bad_last_cell_named_exit_2(self, tmp_path, capsys, cell, message):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(f"patient\tg1\tg2\nP1\t1.0\t2.0\nP2\t2.0\t3.0\nP3\t0.0\t{cell}\n")
+        code = main(["segment", "--input", str(bad), "--out", str(tmp_path)])
+        assert code == 2
+        assert f"{bad}: row 4, column 2: {message}\n" in capsys.readouterr().err
+
     def test_missing_input_path_exit_3(self, tmp_path):
         code = main(["segment", "--input", str(tmp_path / "nope.tsv"),
                      "--out", str(tmp_path)])
@@ -235,6 +247,16 @@ class TestTestCommand:
         assert [(r.start, r.end) for r in reports] == [(a + 1, b) for a, b in TOY_TRUTH]
         rows = read_tsv(tmp_path / "segmentation.tsv")
         assert [repr(r.rho_hat) for r in reports] == [row["rho_hat"] for row in rows]
+
+    def test_segmentation_row_without_chromosome_exit_3(self, tmp_path, capsys):
+        seg = tmp_path / "seg.tsv"
+        seg.write_text("start\tend\tchromosome\n3\t4\n")
+        code = main([
+            "test", "--input", str(TOY_EXPR), "--annotation", str(TOY_ANN),
+            "--segmentation", str(seg), "--out", str(tmp_path),
+        ])
+        assert code == 3
+        assert f"{seg}: row 2: too few fields" in capsys.readouterr().err
 
     def test_gapped_segmentation_exit_3(self, tmp_path):
         io.write_rows(tmp_path / "seg.tsv",
@@ -362,6 +384,36 @@ class TestCorrectCommand:
             assert bps[0] == 0 and bps[-1] == 30
             assert len(bps) == 3, f"{patient}: expected one interior breakpoint"
             assert abs(bps[1] - 15) <= 2
+
+    @pytest.mark.parametrize("cell,message", [
+        ("x", "non-numeric value 'x'"),
+        ("", "missing value"),
+        ("-inf", "non-finite value '-inf'"),
+    ])
+    def test_bad_last_covariate_cell_named_exit_2(self, tmp_path, capsys, cell, message):
+        expr, ann, cov, _, _ = self._toy_inputs(tmp_path)
+        lines = cov.read_text().splitlines()
+        lines[-1] = lines[-1].rsplit("\t", 1)[0] + "\t" + cell
+        cov.write_text("\n".join(lines) + "\n")
+        code = main([
+            "correct", "--input", str(expr), "--annotation", str(ann),
+            "--covariate", str(cov), "--out", str(tmp_path),
+        ])
+        assert code == 2
+        assert f"{cov}: row {len(lines)}: {message}\n" in capsys.readouterr().err
+
+    def test_covariate_row_without_chromosome_exit_2(self, tmp_path, capsys):
+        expr, ann, _, _, _ = self._toy_inputs(tmp_path)
+        rows = [[f"P{i + 1}", float(pos), 1.0, "chr1"] for i in range(4) for pos in range(1, 31)]
+        rows[-1] = rows[-1][:3]
+        cov = tmp_path / "late_chromosome.tsv"
+        io.write_rows(cov, ["patient", "position", "value", "chromosome"], rows)
+        code = main([
+            "correct", "--input", str(expr), "--annotation", str(ann),
+            "--covariate", str(cov), "--out", str(tmp_path),
+        ])
+        assert code == 2
+        assert f"{cov}: row {len(rows) + 1}: too few fields" in capsys.readouterr().err
 
     def test_patient_mismatch_exit_3(self, tmp_path, capsys):
         expr, ann, _, _, _ = self._toy_inputs(tmp_path)

@@ -1,7 +1,10 @@
 """File formats: expression, annotation, covariate, segmentation, regions."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corrseg import io
 from corrseg.errors import IngestionError, MissingValues, SchemaError
@@ -80,6 +83,63 @@ def test_read_expression_missing_values(tmp_path):
             io.read_expression(write(tmp_path / "miss.tsv", body))
 
 
+# Cells for the numeric-parse property: float and int reprs, padded with
+# whitespace, plus the missing-value markers, non-finite spellings, forms
+# only float() reads (underscores, non-ASCII digits) and junk.
+TOKENS = st.one_of(
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.sampled_from([
+        "", "NA", "na", "nan", "NaN", "null", "none", "None", "n/a", "N/A",
+        "inf", "-inf", "Infinity", "1e400", "-1e400", "1e-400", "1_000", "1__0",
+        "_1", "１２", "٣", "0x1p3", "nan(123)", "1,5", "1e", "--1", "x", "1.5\x00",
+    ]),
+    st.text(max_size=4),
+)
+CELLS = st.tuples(
+    st.sampled_from(["", " ", "\t", "\u3000", "\xa0"]), TOKENS, st.sampled_from(["", " ", "\n"])
+).map("".join)
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(CELLS, max_size=6))
+def test_fast_parse_matches_per_cell_loop(fields):
+    try:
+        fast = np.array(fields, dtype=float)
+        fast_ok = bool(np.isfinite(fast).all())
+    except ValueError:
+        fast_ok = False
+    try:
+        expected = np.array([io._parse_float(f, f"cell {j + 1}") for j, f in enumerate(fields)])
+    except IngestionError as exc:
+        assert not fast_ok
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            io._parse_floats(fields, lambda j: f"cell {j + 1}")
+    else:
+        assert fast_ok
+        assert fast.tobytes() == expected.tobytes()
+        assert io._parse_floats(fields, lambda j: f"cell {j + 1}").tobytes() == expected.tobytes()
+
+BAD_CELLS = [
+    ("x", IngestionError, "non-numeric value 'x'"),
+    ("NA", MissingValues, "missing value"),
+    ("inf", MissingValues, "non-finite value 'inf'"),
+    ("1e400", MissingValues, "non-finite value '1e400'"),
+]
+
+@pytest.mark.parametrize("cell,error,message", BAD_CELLS)
+def test_read_expression_names_bad_last_cell(tmp_path, cell, error, message):
+    p = write(tmp_path / "e.tsv", f"patient\tg1\tg2\nA\t1\t2\nB\t3\t4\nC\t5\t{cell}\n")
+    with pytest.raises(error) as info:
+        io.read_expression(p)
+    assert type(info.value) is error
+    assert str(info.value) == f"{p}: row 4, column 2: {message}"
+
+def test_read_expression_names_first_bad_cell_in_file_order(tmp_path):
+    p = write(tmp_path / "e.tsv", "g1\tg2\tg3\n1\t2\t3\n4\t5\tNA\nx\t8\t9\n")
+    with pytest.raises(MissingValues, match=r"row 3, column 3: missing value$"):
+        io.read_expression(p)
+
+
 # ------------------------------------------------------------- annotation
 
 def test_read_annotation_by_name(tmp_path):
@@ -127,6 +187,51 @@ def test_read_covariate_long_no_chromosome(tmp_path):
     )
     cov = io.read_covariate_long(p)
     assert set(cov) == {"all"}
+
+def test_read_covariate_long_sorts_ties_by_value(tmp_path):
+    p = write(
+        tmp_path / "c.tsv",
+        "patient\tposition\tvalue\n"
+        "P1\t20\t2.0\nP2\t5\t9.0\nP1\t10\t3.0\nP1\t10\t-1.0\nP1\t10\t3.0\n",
+    )
+    cov = io.read_covariate_long(p)
+    assert list(cov["all"]) == ["P1", "P2"]
+    pos, val = cov["all"]["P1"]
+    assert pos.tolist() == [10.0, 10.0, 10.0, 20.0]
+    assert val.tolist() == [-1.0, 3.0, 3.0, 2.0]
+
+@pytest.mark.parametrize("cell,error,message", BAD_CELLS)
+def test_read_covariate_long_names_bad_last_cell(tmp_path, cell, error, message):
+    p = write(
+        tmp_path / "c.tsv",
+        f"patient\tchromosome\tposition\tvalue\nP1\tchr1\t1\t0.5\nP1\tchr1\t2\t{cell}\n",
+    )
+    with pytest.raises(error) as info:
+        io.read_covariate_long(p)
+    assert type(info.value) is error
+    assert str(info.value) == f"{p}: row 3: {message}"
+
+def test_read_covariate_long_first_fault_in_file_order(tmp_path):
+    header = "patient\tchromosome\tposition\tvalue\n"
+    bad_then_short = write(
+        tmp_path / "a.tsv", header + "P1\tchr1\t1\tx\nP1\tchr1\t2\t0.5\nP1\tchr1\n"
+    )
+    with pytest.raises(IngestionError, match=r"row 2: non-numeric value 'x'$"):
+        io.read_covariate_long(bad_then_short)
+    short_then_bad = write(
+        tmp_path / "b.tsv", header + "P1\tchr1\t1\t0.5\nP1\tchr1\nP1\tchr1\t3\tx\n"
+    )
+    with pytest.raises(IngestionError, match=r"row 3: too few fields$"):
+        io.read_covariate_long(short_then_bad)
+
+def test_read_covariate_long_row_missing_chromosome(tmp_path):
+    # the chromosome column comes last; a row without it is not filed under 'all'
+    p = write(
+        tmp_path / "c.tsv",
+        "patient\tposition\tvalue\tchromosome\nP0\t1\t0.5\tchr1\nP0\t2\t0.7\n",
+    )
+    with pytest.raises(IngestionError, match=r"row 3: too few fields$"):
+        io.read_covariate_long(p)
 
 def test_read_covariate_wide(tmp_path):
     write(
@@ -182,6 +287,8 @@ def test_segmentation_schema_errors(tmp_path):
         io.read_segmentation(
             write(tmp_path / "txt.tsv", "chromosome\tstart\tend\nchr1\tx\t2\n")
         )
+    with pytest.raises(SchemaError, match=r"row 2: too few fields$"):
+        io.read_segmentation(write(tmp_path / "short.tsv", "start\tend\tchromosome\n3\t4\n"))
 
 def test_regions_round_trip(tmp_path):
     reports = [

@@ -16,7 +16,6 @@ from .chi2 import ChiSquare
 from .core import ExpressionMatrix, standardize
 from .correction import (
     AlignedCovariate,
-    CovariateTrack,
     align_to_genes,
     correct_expression,
     segment_covariate,
@@ -61,7 +60,6 @@ __all__ = [
     "ExpressionMatrix",
     "standardize",
     "AlignedCovariate",
-    "CovariateTrack",
     "align_to_genes",
     "correct_expression",
     "segment_covariate",

@@ -20,15 +20,17 @@ import numpy as np
 from . import __version__, io
 from .errors import IngestionError, ValidationError
 from .pipeline import (
+    ChromosomeResult,
     correct_view,
     match_patients,
     segment_all,
     segmentation_from_bounds,
     segmentation_rows,
     split_by_chromosome,
+    test_all,
 )
 from .core import ExpressionMatrix, standardize
-from .significance import apply_adjustment, power, test_regions
+from .significance import power
 from .simulate import (
     ScenarioSpec,
     annotation_rows,
@@ -80,14 +82,6 @@ class RunConfig:
             raise ValidationError(f"--kmax must be >= 1, got {self.kmax}")
         if self.min_seg < 1:
             raise ValidationError(f"--min-seg must be >= 1, got {self.min_seg}")
-        if self.rule not in ("largest", "smallest"):
-            raise ValidationError(f"--rule must be largest or smallest, got {self.rule}")
-        if self.adjust not in ("bh", "bonferroni", "none"):
-            raise ValidationError(f"--adjust must be bh, bonferroni, or none, got {self.adjust}")
-        if self.mode not in ("pooled", "per-gene"):
-            raise ValidationError(f"--mode must be pooled or per-gene, got {self.mode}")
-        if self.scenario not in (1, 2):
-            raise ValidationError(f"--scenario must be 1 or 2, got {self.scenario}")
         if self.n < 3:
             raise ValidationError(f"--n must be >= 3, got {self.n}")
         for name in ("input", "annotation", "covariate", "covariate_positions",
@@ -138,14 +132,12 @@ def cmd_test(config: RunConfig) -> int:
     absent = sorted(known - set(bounds_by_chrom))
     if absent:
         raise ValidationError(f"segmentation missing chromosome(s): {absent}")
-    reports = []
+    results = []
     for view in views:
         std = standardize(view.matrix)
         seg = segmentation_from_bounds(std, bounds_by_chrom[view.name])
-        reports.extend(
-            test_regions(std, seg, chromosome=view.name, rho0=config.rho0)
-        )
-    reports = apply_adjustment(reports, method=config.adjust, alpha=config.alpha)
+        results.append(ChromosomeResult(view.name, std, seg, trace=None))
+    reports = test_all(results, rho0=config.rho0, adjust=config.adjust, alpha=config.alpha)
     out = _outdir(config)
     io.write_regions(out / "regions.tsv", reports)
     if config.json_out:

@@ -20,14 +20,11 @@ class ExpressionMatrix:
     """n patients by p ordered genes, optionally column-standardized.
 
     ``values[i, j]`` is the signal of patient i for the j-th gene in
-    chromosome order. ``positions`` are genomic coordinates (monotone
-    nondecreasing) used for covariate alignment; they are optional and
-    carried through untouched otherwise.
+    chromosome order.
     """
 
     values: np.ndarray
     gene_ids: tuple[str, ...]
-    positions: tuple[float, ...] | None = None
     standardized: bool = False
     patient_ids: tuple[str, ...] = ()
 
@@ -45,11 +42,6 @@ class ExpressionMatrix:
             raise InvalidMatrix("matrix contains non-finite values")
         if len(self.gene_ids) != p:
             raise InvalidMatrix(f"{len(self.gene_ids)} gene ids for {p} columns")
-        if self.positions is not None:
-            if len(self.positions) != p:
-                raise InvalidMatrix(f"{len(self.positions)} positions for {p} genes")
-            if any(b < a for a, b in zip(self.positions, self.positions[1:])):
-                raise InvalidMatrix("positions must be monotone nondecreasing")
         if self.patient_ids and len(self.patient_ids) != n:
             raise InvalidMatrix(f"{len(self.patient_ids)} patient ids for {n} rows")
         object.__setattr__(self, "values", v)
@@ -78,7 +70,6 @@ def standardize(matrix: ExpressionMatrix) -> ExpressionMatrix:
     return ExpressionMatrix(
         values=centered / sd,
         gene_ids=matrix.gene_ids,
-        positions=matrix.positions,
         standardized=True,
         patient_ids=matrix.patient_ids,
     )

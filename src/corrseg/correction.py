@@ -57,17 +57,6 @@ class PatientFit:
         return out
 
 
-@dataclass(frozen=True)
-class CovariateTrack:
-    """Per-patient covariate fits for one chromosome."""
-
-    fits: tuple[PatientFit, ...]
-
-    @property
-    def patients(self) -> tuple[str, ...]:
-        return tuple(f.patient for f in self.fits)
-
-
 def _rss_cost(values: np.ndarray):
     """cost(starts, stops) for the kernel: within-segment residual sum of squares."""
     cs = np.concatenate(([0.0], np.cumsum(values)))
@@ -123,18 +112,17 @@ def segment_covariate(
     S: float = 0.7,
     k_max: int | None = None,
     fixed_k: int | None = None,
-) -> CovariateTrack:
+) -> tuple[PatientFit, ...]:
     """Fit each patient's (positions, values) series piecewise-constant.
 
     The number of segments per patient is chosen by the same slope-change
     rule as expression segmentation, applied to the Gaussian profile
     log-likelihood of the residual sum of squares; fixed_k overrides it.
     """
-    fits = tuple(
+    return tuple(
         _fit_one_series(patient, pos, val, S, k_max, fixed_k)
         for patient, (pos, val) in series.items()
     )
-    return CovariateTrack(fits=fits)
 
 
 @dataclass(frozen=True)
@@ -145,17 +133,9 @@ class AlignedCovariate:
     x: np.ndarray
     provenance: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.x.shape[1]
-
 
 def align_to_genes(
-    track: CovariateTrack,
+    fits: tuple[PatientFit, ...],
     gene_starts: np.ndarray,
     gene_ends: np.ndarray | None = None,
     half_width: float = 0.0,
@@ -180,10 +160,10 @@ def align_to_genes(
         lo, hi = starts, ends
         centers = 0.5 * (starts + ends)
     p = len(starts)
-    n = len(track.fits)
+    n = len(fits)
     x = np.full((n, p), np.nan)
     provenance = np.full((n, p), "interpolated", dtype="<U12")
-    for i, fit in enumerate(track.fits):
+    for i, fit in enumerate(fits):
         if len(fit.positions) == 0:
             raise NoProbesOnChromosome(fit.patient, chromosome)
         seg_means = np.asarray(fit.means)
@@ -262,7 +242,6 @@ def correct_expression(
     corrected = ExpressionMatrix(
         values=resid,
         gene_ids=matrix.gene_ids,
-        positions=matrix.positions,
         standardized=False,
         patient_ids=matrix.patient_ids,
     )

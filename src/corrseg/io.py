@@ -119,9 +119,9 @@ def read_expression(path: str | Path, transpose: bool = False) -> ExpressionMatr
 
 
 def _find_column(header: list[str], names: set[str]) -> int | None:
-    lowered = [h.strip().lower() for h in header]
-    for i, h in enumerate(lowered):
-        if h in names:
+    names = {n.lower() for n in names}
+    for i, h in enumerate(header):
+        if h.strip().lower() in names:
             return i
     return None
 
@@ -227,6 +227,8 @@ def read_covariate_wide(
     probes: list[tuple[str, float]] = []
     for i, row in enumerate(pos_rows[start_at:] if start_at else pos_rows):
         where = f"{positions_path}: row {i + 1 + start_at}"
+        if len(row) < (2 if has_chrom else 1):
+            raise IngestionError(f"{where}: too few fields")
         if has_chrom:
             probes.append((row[0].strip(), _parse_float(row[1], where)))
         else:
@@ -363,6 +365,8 @@ def read_regions(path: str | Path) -> list[RegionReport]:
                 p_val = float(raw_p)
             except ValueError as exc:
                 raise SchemaError(f"{where}: bad p_value {raw_p!r}") from exc
+        if len(row) <= idx["chromosome"]:
+            raise SchemaError(f"{where}: too few fields")
         out.append(
             RegionReport(
                 chromosome=get("chromosome").strip(),
@@ -410,7 +414,9 @@ def read_truth(path: str | Path) -> dict[str, np.ndarray]:
     if ci is None or li is None:
         raise SchemaError(f"{path}: truth table needs chromosome and label columns")
     acc: dict[str, list[bool]] = {}
-    for row in data:
+    for i, row in enumerate(data):
+        if len(row) <= max(ci, li):
+            raise SchemaError(f"{path}: row {i + 2}: too few fields")
         acc.setdefault(row[ci].strip(), []).append(row[li].strip().upper() == "H1")
     return {chrom: np.array(flags, dtype=bool) for chrom, flags in acc.items()}
 

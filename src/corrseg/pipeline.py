@@ -12,12 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ExpressionMatrix, build_gram_prefix, standardize
-from .correction import (
-    AlignedCovariate,
-    align_to_genes,
-    correct_expression,
-    segment_covariate,
-)
+from .correction import align_to_genes, correct_expression, segment_covariate
 from .errors import KTooLarge, PatientMismatch, ValidationError
 from .io import natural_key
 from .segment import (
@@ -86,7 +81,6 @@ def split_by_chromosome(
                 matrix=ExpressionMatrix(
                     values=matrix.values[:, idx],
                     gene_ids=tuple(matrix.gene_ids[j] for j in cols),
-                    positions=tuple(float(s) for s in starts),
                     standardized=matrix.standardized,
                     patient_ids=matrix.patient_ids,
                 ),
@@ -212,19 +206,19 @@ def correct_view(
     """Fit, align, and regress out one chromosome's covariate track."""
     matrix = view.matrix
     series = {patient: covariate[patient] for patient in matrix.patient_ids}
-    track = segment_covariate(series, S=S, k_max=k_max)
+    fits = segment_covariate(series, S=S, k_max=k_max)
     if view.starts is None:
         starts = np.arange(matrix.p, dtype=float)
     else:
         starts = view.starts
     aligned = align_to_genes(
-        track, starts, gene_ends=view.ends, half_width=half_width, chromosome=view.name
+        fits, starts, gene_ends=view.ends, half_width=half_width, chromosome=view.name
     )
     corrected, info = correct_expression(matrix, aligned, mode=mode)
     prov, counts = np.unique(aligned.provenance, return_counts=True)
     info = dict(info)
     info["alignment"] = {str(k): int(v) for k, v in zip(prov, counts)}
     info["covariate_breakpoints"] = {
-        fit.patient: list(fit.breakpoints) for fit in track.fits
+        fit.patient: list(fit.breakpoints) for fit in fits
     }
     return corrected, info

@@ -160,14 +160,13 @@ def generate(spec: ScenarioSpec) -> ExpressionMatrix:
 
     Chromosomes are generated sequentially from a single seeded stream,
     so identical specs give bit-identical matrices. Gene ids encode the
-    chromosome as '<name>_g<j>'; positions are 1000 apart within each
-    chromosome.
+    chromosome as '<name>_g<j>'; `annotation_rows` places them 1000 apart
+    within each chromosome.
     """
     rng = np.random.default_rng(spec.seed)
     rho0s = spec.rho0_by_chromosome()
     columns = []
     gene_ids = []
-    positions = []
     for chrom, r0 in zip(spec.chromosomes, rho0s):
         Y = np.empty((spec.n, chrom.p))
         W = rng.standard_normal(spec.n)
@@ -182,11 +181,9 @@ def generate(spec: ScenarioSpec) -> ExpressionMatrix:
             )
         columns.append(Y)
         gene_ids.extend(f"{chrom.name}_g{j + 1}" for j in range(chrom.p))
-        positions.extend(float(1000 * (j + 1)) for j in range(chrom.p))
     return ExpressionMatrix(
         values=np.concatenate(columns, axis=1),
         gene_ids=tuple(gene_ids),
-        positions=None,
         standardized=False,
         patient_ids=tuple(f"P{i + 1:03d}" for i in range(spec.n)),
     )

@@ -415,6 +415,22 @@ class TestCorrectCommand:
         assert code == 2
         assert f"{cov}: row {len(rows) + 1}: too few fields" in capsys.readouterr().err
 
+    def test_short_positions_row_exit_2(self, tmp_path, capsys):
+        expr, ann, _, _, _ = self._toy_inputs(tmp_path)
+        wide = tmp_path / "wide.tsv"
+        io.write_matrix(wide, ExpressionMatrix(
+            values=np.arange(12.0).reshape(4, 3), gene_ids=("q1", "q2", "q3"),
+            patient_ids=("P1", "P2", "P3", "P4")))
+        positions = tmp_path / "positions.tsv"
+        positions.write_text("chromosome\tposition\nchr1\t1\nchr1\t2\nchr1\n")
+        code = main([
+            "correct", "--input", str(expr), "--annotation", str(ann),
+            "--covariate", str(wide), "--covariate-positions", str(positions),
+            "--out", str(tmp_path),
+        ])
+        assert code == 2
+        assert f"{positions}: row 4: too few fields" in capsys.readouterr().err
+
     def test_patient_mismatch_exit_3(self, tmp_path, capsys):
         expr, ann, _, _, _ = self._toy_inputs(tmp_path)
         rows = []
@@ -504,6 +520,23 @@ class TestEvaluateCommand:
                 assert 0.0 <= float(row["tpr"]) <= 1.0
                 assert 0.0 <= float(row["fpr"]) <= 1.0
 
+    @pytest.mark.parametrize("name, truth, regions, row", [
+        ("truth", "gene\tchromosome\tlabel\nchr1_g1\tchr1\tH0\nchr1_g2\n",
+         "chromosome\tstart\tend\tp_value\nchr1\t1\t2\t0.5\n", 3),
+        ("regions", "gene\tchromosome\tlabel\nchr1_g1\tchr1\tH0\n",
+         "start\tend\tp_value\tchromosome\n1\t5\t0.01\n", 2),
+    ], ids=["truth", "regions"])
+    def test_short_row_exit_3(self, tmp_path, capsys, name, truth, regions, row):
+        files = {"truth": tmp_path / "truth.tsv", "regions": tmp_path / "regions.tsv"}
+        files["truth"].write_text(truth)
+        files["regions"].write_text(regions)
+        code = main([
+            "evaluate", "--truth", str(files["truth"]),
+            "--regions", str(files["regions"]), "--out", str(tmp_path),
+        ])
+        assert code == 3
+        assert f"{files[name]}: row {row}: too few fields" in capsys.readouterr().err
+
 
 class TestPowerCommand:
     def test_null_row_equals_alpha(self, tmp_path):
@@ -541,3 +574,18 @@ def test_version_flag_exits_zero(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "corrseg" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["segment", "--input", str(TOY_EXPR), "--rule", "bogus"], "--rule"),
+    (["test", "--input", str(TOY_EXPR), "--segmentation", "s.tsv", "--adjust", "bogus"],
+     "--adjust"),
+    (["correct", "--input", str(TOY_EXPR), "--covariate", "c.tsv", "--mode", "bogus"],
+     "--mode"),
+    (["simulate", "--scenario", "9"], "--scenario"),
+], ids=["rule", "adjust", "mode", "scenario"])
+def test_bad_choice_flag_exits_2(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid choice" in capsys.readouterr().err

@@ -48,14 +48,6 @@ def test_matrix_shape_contracts():
     with pytest.raises(InvalidMatrix):
         as_matrix(bad)
 
-def test_positions_must_be_sorted():
-    with pytest.raises(InvalidMatrix):
-        ExpressionMatrix(
-            values=np.zeros((4, 2)) + np.arange(4)[:, None],
-            gene_ids=("a", "b"),
-            positions=(10, 5),
-        )
-
 def test_gram_prefix_requires_standardized(rng):
     with pytest.raises(NotStandardized):
         build_gram_prefix(as_matrix(rng.standard_normal((10, 4))))

@@ -9,6 +9,7 @@ import scipy.stats
 from corrseg.core import block_sums, build_gram_prefix, standardize
 from corrseg.correction import (
     AlignedCovariate,
+    PatientFit,
     _rss_cost,
     align_to_genes,
     correct_expression,
@@ -36,15 +37,15 @@ def track_for(values_by_patient, positions=None):
 # ------------------------------------------------- covariate segmentation
 
 def test_constant_series_one_segment():
-    track = segment_covariate(track_for({"P1": np.full(30, 1.7)}))
-    fit = track.fits[0]
+    fits = segment_covariate(track_for({"P1": np.full(30, 1.7)}))
+    fit = fits[0]
     assert fit.breakpoints == (0, 30)
     assert fit.means == pytest.approx((1.7,))
     assert np.allclose(fit.fitted(), 1.7)
 
 def test_two_probe_series_forced_split():
-    track = segment_covariate(track_for({"P1": [0.0, 5.0]}), fixed_k=2)
-    fit = track.fits[0]
+    fits = segment_covariate(track_for({"P1": [0.0, 5.0]}), fixed_k=2)
+    fit = fits[0]
     assert fit.breakpoints == (0, 1, 2)
     assert fit.means == pytest.approx((0.0, 5.0))
     # residual sum of squares is zero for singleton segments
@@ -61,8 +62,8 @@ def test_step_series_breakpoint_recovery():
         rng = np.random.default_rng([55, seed])
         vals = np.concatenate([np.zeros(50), np.full(50, 2.0)])
         vals += 0.1 * rng.standard_normal(100)
-        track = segment_covariate(track_for({"P1": vals}))
-        fit = track.fits[0]
+        fits = segment_covariate(track_for({"P1": vals}))
+        fit = fits[0]
         interior = [b for b in fit.breakpoints if 0 < b < 100]
         if any(abs(b - 50) <= 2 for b in interior):
             hits += 1
@@ -70,8 +71,8 @@ def test_step_series_breakpoint_recovery():
 
 def test_segment_means_are_segment_averages(rng):
     vals = rng.standard_normal(60) + np.repeat([0.0, 3.0, -1.0], 20)
-    track = segment_covariate(track_for({"P1": vals}), fixed_k=3)
-    fit = track.fits[0]
+    fits = segment_covariate(track_for({"P1": vals}), fixed_k=3)
+    fit = fits[0]
     for (a, b), mu in zip(
         zip(fit.breakpoints[:-1], fit.breakpoints[1:]), fit.means
     ):
@@ -95,15 +96,15 @@ def test_covariate_dp_equals_enumeration():
                 for cuts in itertools.combinations(range(1, t), k - 1)
             )
             assert D[k - 1, -1] == pytest.approx(best, abs=1e-9)
-            fit = segment_covariate(track_for({"P1": vals}), fixed_k=k).fits[0]
+            fit = segment_covariate(track_for({"P1": vals}), fixed_k=k)[0]
             assert len(fit.breakpoints) == k + 1
             assert rss_of(vals, fit.breakpoints) == pytest.approx(best, abs=1e-9)
 
 def test_unsorted_positions_are_sorted():
     pos = np.array([30.0, 10.0, 20.0])
     vals = np.array([3.0, 1.0, 2.0])
-    track = segment_covariate({"P1": (pos, vals)}, fixed_k=1)
-    fit = track.fits[0]
+    fits = segment_covariate({"P1": (pos, vals)}, fixed_k=1)
+    fit = fits[0]
     assert tuple(fit.positions) == (10.0, 20.0, 30.0)
     assert tuple(fit.values) == (1.0, 2.0, 3.0)
 
@@ -111,8 +112,8 @@ def test_unsorted_positions_are_sorted():
 # ---------------------------------------------------------------- alignment
 
 def aligned_single_patient(pos, vals, gene_starts, gene_ends=None, **kw):
-    track = segment_covariate({"P1": (np.asarray(pos, float), np.asarray(vals, float))}, **kw)
-    return align_to_genes(track, np.asarray(gene_starts, float),
+    fits = segment_covariate({"P1": (np.asarray(pos, float), np.asarray(vals, float))}, **kw)
+    return align_to_genes(fits, np.asarray(gene_starts, float),
                           None if gene_ends is None else np.asarray(gene_ends, float))
 
 def test_align_single_probe_rule():
@@ -160,17 +161,16 @@ def test_align_totality(rng):
     series = {
         f"P{i}": (pos, rng.standard_normal(40)) for i in range(5)
     }
-    track = segment_covariate(series)
+    fits = segment_covariate(series)
     starts = np.linspace(0, 1000, 25)
-    out = align_to_genes(track, starts, starts + 20.0)
+    out = align_to_genes(fits, starts, starts + 20.0)
     assert not np.isnan(out.x).any()
     assert set(np.unique(out.provenance)) <= {"single-probe", "averaged", "interpolated"}
 
 def test_align_empty_chromosome():
-    track = segment_covariate({"P1": (np.array([1.0, 2.0]), np.array([0.0, 0.0]))})
-    empty = type(track)(fits=(type(track.fits[0])(
+    empty = (PatientFit(
         patient="P1", positions=(), values=(), breakpoints=(0,), means=(),
-    ),))
+    ),)
     with pytest.raises(NoProbesOnChromosome):
         align_to_genes(empty, np.array([1.0]), np.array([2.0]), chromosome="chr3")
 

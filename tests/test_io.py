@@ -305,12 +305,12 @@ def test_regions_round_trip(tmp_path):
     ]
     io.write_regions(tmp_path / "r.tsv", reports)
     back = io.read_regions(tmp_path / "r.tsv")
-    assert len(back) == 2
-    assert back[0].p_value == 2.1e-07
-    assert back[0].rho_hat == 0.561
-    assert back[0].significant and back[0].tested
-    assert not back[1].tested and not back[1].significant
-    assert np.isnan(back[1].p_value)
+    assert len(back) == len(reports)
+    for want, got in zip(reports, back):
+        for name, value in vars(want).items():
+            read = getattr(got, name)
+            # NaN reads back as NaN
+            assert read == value or (value != value and read != read), name
 
 def test_regions_schema_error(tmp_path):
     with pytest.raises(SchemaError):

@@ -32,12 +32,12 @@ from .pipeline import (
 from .core import ExpressionMatrix, standardize
 from .significance import power
 from .simulate import (
+    ChromosomeSpec,
     ScenarioSpec,
     annotation_rows,
     default_scenario,
     evaluate,
     generate,
-    tile_chromosome,
 )
 
 
@@ -135,7 +135,10 @@ def cmd_test(config: RunConfig) -> int:
     results = []
     for view in views:
         std = standardize(view.matrix)
-        seg = segmentation_from_bounds(std, bounds_by_chrom[view.name])
+        try:
+            seg = segmentation_from_bounds(std, bounds_by_chrom[view.name])
+        except ValidationError as exc:
+            raise ValidationError(f"chromosome {view.name!r}: {exc}") from exc
         results.append(ChromosomeResult(view.name, std, seg, trace=None))
     reports = test_all(results, rho0=config.rho0, adjust=config.adjust, alpha=config.alpha)
     out = _outdir(config)
@@ -202,10 +205,10 @@ def _spec_from_file(path: str, config: RunConfig) -> ScenarioSpec:
         raise IngestionError(f"cannot read scenario spec {path}: {exc}") from exc
     try:
         chroms = tuple(
-            tile_chromosome(
+            ChromosomeSpec(
                 c["name"],
                 int(c["p"]),
-                [(int(a) - 1, int(b)) for a, b in c.get("h1_blocks", [])],
+                tuple((int(a) - 1, int(b)) for a, b in c.get("h1_blocks", [])),
             )
             for c in raw["chromosomes"]
         )
@@ -282,18 +285,22 @@ def cmd_evaluate(config: RunConfig) -> int:
     return 0
 
 
-def _parse_grid(text: str, cast=float) -> list:
+def _parse_grid(text: str, cast=float, flag="", domain="", ok=lambda v: True) -> list:
     try:
-        return [cast(tok) for tok in text.split(",") if tok.strip()]
+        values = [cast(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValidationError(f"bad grid {text!r}: {exc}") from exc
+    for value in values:
+        if not ok(value):
+            raise ValidationError(f"{flag} values must {domain}, got {value}")
+    return values
 
 def cmd_power(config: RunConfig, n_grid: str, p_grid: str, rho_grid: str, alpha_grid: str) -> int:
     rho0 = config.rho0 if config.rho0 is not None else 0.15
-    ns = _parse_grid(n_grid, int)
-    ps = _parse_grid(p_grid, int)
+    ns = _parse_grid(n_grid, int, "--n", "be >= 2", lambda n: n >= 2)
+    ps = _parse_grid(p_grid, int, "--p", "be >= 1", lambda p: p >= 1)
     rhos = _parse_grid(rho_grid)
-    alphas = _parse_grid(alpha_grid)
+    alphas = _parse_grid(alpha_grid, float, "--alpha", "lie in (0, 1)", lambda a: 0 < a < 1)
     rows = []
     for n in ns:
         for p in ps:

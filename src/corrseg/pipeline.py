@@ -165,7 +165,7 @@ def segmentation_from_bounds(
     bps = [bounds[0][0]] + [b for _, b in bounds]
     if bps[0] != 0 or bps[-1] != std.p:
         raise ValidationError(
-            f"segmentation covers [{bps[0]}, {bps[-1]}), expected [0, {std.p})"
+            f"segmentation covers genes {bps[0] + 1}-{bps[-1]}, expected 1-{std.p}"
         )
     return segmentation_from_breakpoints(build_gram_prefix(std), std.n, bps)
 

@@ -10,6 +10,7 @@ of maximal runs of genes sharing a (truth x call) status.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,36 +22,30 @@ from .significance import RegionReport
 
 @dataclass(frozen=True)
 class ChromosomeSpec:
-    """Gene count and the H0/H1 tiling of one simulated chromosome.
+    """Gene count and planted H1 blocks of one simulated chromosome.
 
-    regions are (start, stop, label) with 0-based half-open bounds and
-    labels 'H0' or 'H1'; they must tile [0, p) exactly.
+    h1_blocks are (start, stop) with 0-based half-open bounds; they are
+    kept sorted and must be non-empty, disjoint and inside [0, p).
+    Every other gene is H0.
     """
 
     name: str
     p: int
-    regions: tuple[tuple[int, int, str], ...]
+    h1_blocks: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         if self.p < 1:
             raise ValueError(f"chromosome {self.name}: need p >= 1")
+        blocks = tuple(sorted((a, b) for a, b in self.h1_blocks))
         cursor = 0
-        for start, stop, label in self.regions:
-            if start != cursor or stop <= start:
+        for a, b in blocks:
+            if a < cursor or b <= a or b > self.p:
                 raise ValueError(
-                    f"chromosome {self.name}: regions must tile [0, {self.p}) exactly"
+                    f"chromosome {self.name}: H1 block ({a}, {b}) is empty, "
+                    f"overlaps another or leaves [0, {self.p})"
                 )
-            if label not in ("H0", "H1"):
-                raise ValueError(f"chromosome {self.name}: bad label {label!r}")
-            cursor = stop
-        if cursor != self.p:
-            raise ValueError(
-                f"chromosome {self.name}: regions end at {cursor}, expected {self.p}"
-            )
-
-    @property
-    def h1_blocks(self) -> list[tuple[int, int]]:
-        return [(a, b) for a, b, lab in self.regions if lab == "H1"]
+            cursor = b
+        object.__setattr__(self, "h1_blocks", blocks)
 
     def truth(self) -> np.ndarray:
         """Boolean H1 indicator per gene."""
@@ -58,20 +53,6 @@ class ChromosomeSpec:
         for a, b in self.h1_blocks:
             out[a:b] = True
         return out
-
-
-def tile_chromosome(name: str, p: int, h1_blocks: list[tuple[int, int]]) -> ChromosomeSpec:
-    """Build a full H0/H1 tiling from the H1 block bounds alone."""
-    regions = []
-    cursor = 0
-    for a, b in sorted(h1_blocks):
-        if a > cursor:
-            regions.append((cursor, a, "H0"))
-        regions.append((a, b, "H1"))
-        cursor = b
-    if cursor < p:
-        regions.append((cursor, p, "H0"))
-    return ChromosomeSpec(name=name, p=p, regions=tuple(regions))
 
 
 @dataclass(frozen=True)
@@ -107,10 +88,6 @@ class ScenarioSpec:
             return tuple(float(self.rho0) for _ in self.chromosomes)
         return tuple(float(v) for v in self.rho0)
 
-    @property
-    def total_genes(self) -> int:
-        return sum(c.p for c in self.chromosomes)
-
     def truth_by_chromosome(self) -> dict[str, np.ndarray]:
         return {c.name: c.truth() for c in self.chromosomes}
 
@@ -124,30 +101,26 @@ def default_scenario(
     n: int = 58,
     seed: int = 0,
     p: int = 500,
-    widths: tuple[int, ...] = DEFAULT_WIDTHS,
 ) -> ScenarioSpec:
-    """Desk-scale default design: len(widths) chromosomes of p genes.
+    """Desk-scale default design: one chromosome of p genes per width.
 
-    Chromosome c plants two H1 blocks of width widths[c], centered at p/3
-    and 2p/3, so every block width in the spread is represented and each
-    chromosome has a clean two-block structure. Scenario 2 draws a
-    per-chromosome background level uniformly from [0.08, 0.28] instead
+    Chromosome c plants two H1 blocks of width DEFAULT_WIDTHS[c], centered
+    at p/3 and 2p/3, so every block width in the spread is represented
+    and each chromosome has a clean two-block structure. Scenario 2 draws
+    a per-chromosome background level uniformly from [0.08, 0.28] instead
     of using the shared scalar.
     """
     chroms = []
-    for c, w in enumerate(widths):
+    for c, w in enumerate(DEFAULT_WIDTHS):
         if w >= p // 3:
             raise ValueError(f"block width {w} too large for p={p}")
-        blocks = []
-        for center in (p // 3, (2 * p) // 3):
-            a = center - w // 2
-            blocks.append((a, a + w))
-        chroms.append(tile_chromosome(f"chr{c + 1}", p, blocks))
+        starts = (center - w // 2 for center in (p // 3, (2 * p) // 3))
+        chroms.append(ChromosomeSpec(f"chr{c + 1}", p, tuple((a, a + w) for a in starts)))
     if scenario == 1:
         rho0_spec: float | tuple[float, ...] = rho0
     elif scenario == 2:
         rng = np.random.default_rng([seed, 202])
-        rho0_spec = tuple(float(v) for v in rng.uniform(0.08, 0.28, size=len(widths)))
+        rho0_spec = tuple(float(v) for v in rng.uniform(0.08, 0.28, size=len(DEFAULT_WIDTHS)))
     else:
         raise ValueError(f"unknown scenario {scenario}")
     return ScenarioSpec(
@@ -216,8 +189,8 @@ class EvalResult:
 
 def _gene_scores(
     truth_by_chrom: dict[str, np.ndarray], reports: list[RegionReport]
-) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-    """Per-gene truth labels and p-value scores from covering regions."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-gene truth labels and p-value scores, chromosomes in name order."""
     scores = {name: np.full(len(t), np.nan) for name, t in truth_by_chrom.items()}
     for r in reports:
         if r.chromosome not in scores:
@@ -233,36 +206,36 @@ def _gene_scores(
     score = np.concatenate([scores[name] for name in names])
     if np.isnan(score).any():
         raise GridMismatch("region reports do not cover every gene")
-    return truth, score, scores
+    return truth, score
 
-def _auc(fpr: np.ndarray, tpr: np.ndarray) -> float:
+def _roc(score: np.ndarray, rates: Callable[[np.ndarray], tuple[float, float]]) -> RocCurve:
+    """Sweep every finite score as a threshold; rates(score <= t) gives (tpr, fpr)."""
+    thresholds = np.unique(score[np.isfinite(score)])
+    points = [rates(score <= t) for t in thresholds]
+    tpr = tuple(tp for tp, _ in points)
+    fpr = tuple(fp for _, fp in points)
     f = np.concatenate(([0.0], fpr, [1.0]))
     t = np.concatenate(([0.0], tpr, [1.0]))
     order = np.lexsort((t, f))
-    return float(np.trapezoid(t[order], f[order]))
+    return RocCurve(
+        thresholds=tuple(float(v) for v in thresholds),
+        tpr=tpr,
+        fpr=fpr,
+        auc=float(np.trapezoid(t[order], f[order])),
+    )
 
 def gene_metrics(
     truth_by_chrom: dict[str, np.ndarray], reports: list[RegionReport]
 ) -> RocCurve:
     """ROC over genes, ranking each gene by its covering region's p-value."""
-    truth, score, _ = _gene_scores(truth_by_chrom, reports)
+    truth, score = _gene_scores(truth_by_chrom, reports)
     pos = int(truth.sum())
     neg = int((~truth).sum())
     if pos == 0 or neg == 0:
         raise GridMismatch("gene-level ROC needs both H0 and H1 genes in the truth")
-    thresholds = np.unique(score[np.isfinite(score)])
-    tpr, fpr = [], []
-    for t in thresholds:
-        called = score <= t
-        tpr.append(float((called & truth).sum() / pos))
-        fpr.append(float((called & ~truth).sum() / neg))
-    tpr_a, fpr_a = np.asarray(tpr), np.asarray(fpr)
-    return RocCurve(
-        thresholds=tuple(float(v) for v in thresholds),
-        tpr=tuple(tpr),
-        fpr=tuple(fpr),
-        auc=_auc(fpr_a, tpr_a),
-    )
+    return _roc(score, lambda called: (
+        float((called & truth).sum() / pos), float((called & ~truth).sum() / neg)
+    ))
 
 def _region_counts(truth: np.ndarray, called: np.ndarray) -> tuple[int, int, int, int]:
     """Counts of maximal same-status runs: (TP, FP, TN, FN) regions."""
@@ -286,30 +259,17 @@ def region_metrics(
     over FP + TN. More stringent than gene-level: a fragmented detection
     creates extra false-negative regions instead of partial credit.
     """
-    _, _, scores = _gene_scores(truth_by_chrom, reports)
-    names = sorted(truth_by_chrom)
-    all_scores = np.concatenate([scores[name] for name in names])
-    thresholds = np.unique(all_scores[np.isfinite(all_scores)])
-    tpr, fpr = [], []
-    for t in thresholds:
-        tp = fp = tn = fn = 0
-        for name in names:
-            truth = truth_by_chrom[name]
-            called = scores[name] <= t
-            a, b, c, d = _region_counts(truth, called)
-            tp += a
-            fp += b
-            tn += c
-            fn += d
-        tpr.append(float(tp / (tp + fn)) if tp + fn else 0.0)
-        fpr.append(float(fp / (fp + tn)) if fp + tn else 0.0)
-    tpr_a, fpr_a = np.asarray(tpr), np.asarray(fpr)
-    return RocCurve(
-        thresholds=tuple(float(v) for v in thresholds),
-        tpr=tuple(tpr),
-        fpr=tuple(fpr),
-        auc=_auc(fpr_a, tpr_a),
-    )
+    truth, score = _gene_scores(truth_by_chrom, reports)
+    cuts = np.cumsum([len(truth_by_chrom[name]) for name in sorted(truth_by_chrom)])[:-1]
+    truths = np.split(truth, cuts)
+
+    def rates(called: np.ndarray) -> tuple[float, float]:
+        counts = [_region_counts(t, c) for t, c in zip(truths, np.split(called, cuts))]
+        tp, fp, tn, fn = (sum(column) for column in zip(*counts))
+        return (float(tp / (tp + fn)) if tp + fn else 0.0,
+                float(fp / (fp + tn)) if fp + tn else 0.0)
+
+    return _roc(score, rates)
 
 def evaluate(
     truth_by_chrom: dict[str, np.ndarray], reports: list[RegionReport]

@@ -37,12 +37,12 @@ from corrseg.significance import (
     test_statistic as region_statistic,
 )
 from corrseg.simulate import (
+    ChromosomeSpec,
     ScenarioSpec,
     annotation_rows,
     default_scenario,
     evaluate,
     generate,
-    tile_chromosome,
 )
 
 
@@ -247,7 +247,7 @@ def test_c08_background_estimator_bias_direction():
 
     means = []
     for fraction in (0.0, 0.1, 0.3, 0.5):
-        chrom = tile_chromosome("chr1", 500, layout(fraction))
+        chrom = ChromosomeSpec("chr1", 500, layout(fraction))
         estimates = []
         for seed in range(20):
             spec = ScenarioSpec(chromosomes=(chrom,), rho0=rho0, rho1=0.7,

@@ -25,7 +25,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 TOY_EXPR = FIXTURES / "toy_expression.tsv"
 TOY_ANN = FIXTURES / "toy_annotation.tsv"
 # tests/fixtures/toy_* were generated by corrseg.simulate with
-# ScenarioSpec(tile_chromosome("chr1", 60, [(15, 25), (40, 50)]),
+# ScenarioSpec(ChromosomeSpec("chr1", 60, ((15, 25), (40, 50))),
 #              rho0=0.0, rho1=0.9, n=58, seed=0)
 TOY_TRUTH = [(0, 15), (15, 25), (25, 40), (40, 50), (50, 60)]
 
@@ -268,6 +268,17 @@ class TestTestCommand:
             "--segmentation", str(tmp_path / "seg.tsv"), "--out", str(tmp_path),
         ])
         assert code == 3
+
+    def test_short_segmentation_names_chromosome(self, tmp_path, capsys):
+        io.write_rows(tmp_path / "seg.tsv", ["chromosome", "start", "end"],
+                      [["chr1", 1, 20], ["chr1", 21, 50]])
+        code = main([
+            "test", "--input", str(TOY_EXPR), "--annotation", str(TOY_ANN),
+            "--segmentation", str(tmp_path / "seg.tsv"), "--out", str(tmp_path),
+        ])
+        assert code == 3
+        assert ("chromosome 'chr1': segmentation covers genes 1-50, expected 1-60\n"
+                in capsys.readouterr().err)
 
     def test_null_fixture_calibration(self, tmp_path):
         """No H1 blocks: few regions should be flagged at alpha = 0.05."""
@@ -537,6 +548,17 @@ class TestEvaluateCommand:
         assert code == 3
         assert f"{files[name]}: row {row}: too few fields" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column", ["rho_hat", "rho0", "T_obs", "lambda0", "p_adjusted"])
+    def test_bad_float_cell_exit_3(self, tmp_path, capsys, column):
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("gene\tchromosome\tlabel\nchr1_g1\tchr1\tH0\nchr1_g2\tchr1\tH1\n")
+        regions = tmp_path / "regions.tsv"
+        regions.write_text(f"chromosome\tstart\tend\tp_value\t{column}\nchr1\t1\t2\t0.5\tabc\n")
+        code = main(["evaluate", "--truth", str(truth), "--regions", str(regions),
+                     "--out", str(tmp_path)])
+        assert code == 3
+        assert f"{regions}: row 2: bad {column} 'abc'\n" in capsys.readouterr().err
+
 
 class TestPowerCommand:
     def test_null_row_equals_alpha(self, tmp_path):
@@ -567,6 +589,20 @@ class TestPowerCommand:
 
     def test_bad_grid_exit_3(self, tmp_path):
         assert main(["power", "--n", "10,teapot", "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("flag, grid, first_bad", [
+        ("--n", "1", "1"),
+        ("--n", "0,5", "0"),
+        ("--p", "0", "0"),
+        ("--alpha", "0", "0.0"),
+        ("--alpha", "0.05,1.5", "1.5"),
+    ])
+    def test_out_of_domain_grid_exit_3(self, tmp_path, capsys, flag, grid, first_bad):
+        assert main(["power", flag, grid, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"validation error: {flag} values must " in err
+        assert err.endswith(f", got {first_bad}\n")
+        assert not (tmp_path / "power.tsv").exists()
 
 
 def test_version_flag_exits_zero(capsys):

@@ -316,8 +316,31 @@ def test_regions_schema_error(tmp_path):
     with pytest.raises(SchemaError):
         io.read_regions(write(tmp_path / "r.tsv", "chromosome\tstart\n" "chr1\t1\n"))
 
+def test_regions_missing_float_cells_read_as_nan(tmp_path):
+    columns = ["rho_hat", "rho0", "T_obs", "lambda0", "p_value", "p_adjusted"]
+    text = "chromosome\tstart\tend\t" + "\t".join(columns) + "\n"
+    text += "chr1\t1\t4\tNA\tnull\tNone\tn/a\tNaN\t\n"
+    (r,) = io.read_regions(write(tmp_path / "r.tsv", text))
+    for value in (r.rho_hat, r.rho0_used, r.T_obs, r.lambda0, r.p_value, r.p_adjusted):
+        assert np.isnan(value)
+
 
 # ---------------------------------------------------------- truth and misc
+
+@pytest.mark.parametrize("reader, text, error, message", [
+    (io.read_expression, "patient\tg1\tg2\n\nP1\t1.0\t2.0\nP2\t2.0\tx\n",
+     IngestionError, "row 4, column 2: non-numeric value 'x'"),
+    (io.read_covariate_long, "patient\tposition\tvalue\n\nP1\t1\t0.5\n\nP1\t2\tx\n",
+     IngestionError, "row 5: non-numeric value 'x'"),
+    (io.read_truth, "gene\tchromosome\tlabel\n\nchr1_g1\tchr1\tH0\nchr1_g2\n",
+     SchemaError, "row 4: too few fields"),
+    (io.read_annotation, "gene\tchromosome\tstart\n\ng1\tchr1\t1\n\ng1\tchr1\t2\n",
+     SchemaError, "gene 'g1' is listed twice (rows 3 and 5)"),
+], ids=["expression", "covariate", "truth", "annotation"])
+def test_row_numbers_count_blank_lines(tmp_path, reader, text, error, message):
+    path = write(tmp_path / "f.tsv", text)
+    with pytest.raises(error, match=re.escape(f"{path}: {message}") + "$"):
+        reader(path)
 
 def test_truth_round_trip(tmp_path):
     truth = {"chr2": np.array([True, False]), "chr10": np.array([False])}

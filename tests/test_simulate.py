@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corrseg.errors import GridMismatch, InvalidLoadings
 from corrseg.significance import RegionReport
@@ -13,12 +14,11 @@ from corrseg.simulate import (
     gene_metrics,
     generate,
     region_metrics,
-    tile_chromosome,
 )
 
 
 def one_block_spec(n=58, p=60, block=(20, 40), rho0=0.18, rho1=0.7, seed=0):
-    chrom = tile_chromosome("chr1", p, [block])
+    chrom = ChromosomeSpec("chr1", p, (block,))
     return ScenarioSpec(chromosomes=(chrom,), rho0=rho0, rho1=rho1, n=n, seed=seed)
 
 def report(chrom, start, end, p_val, significant=None, tested=True):
@@ -36,11 +36,7 @@ def report(chrom, start, end, p_val, significant=None, tested=True):
 # ------------------------------------------------------------- generation
 
 def test_tiling_and_truth():
-    chrom = tile_chromosome("c", 20, [(5, 10), (12, 18)])
-    widths = [b - a for a, b, lab in chrom.regions]
-    assert sum(widths) == 20
-    labels = [lab for _, _, lab in chrom.regions]
-    assert labels == ["H0", "H1", "H0", "H1", "H0"]
+    chrom = ChromosomeSpec("c", 20, ((5, 10), (12, 18)))
     truth = chrom.truth()
     assert truth.shape == (20,)
     assert truth[5:10].all() and truth[12:18].all()
@@ -48,9 +44,59 @@ def test_tiling_and_truth():
 
 def test_tiling_rejects_overlap_and_overflow():
     with pytest.raises(ValueError):
-        tile_chromosome("c", 20, [(5, 12), (10, 15)])
+        ChromosomeSpec("c", 20, ((5, 12), (10, 15)))
     with pytest.raises(ValueError):
-        tile_chromosome("c", 20, [(15, 25)])
+        ChromosomeSpec("c", 20, ((15, 25),))
+
+def tiling_truth(p, h1_blocks):
+    """The H0/H1 tiling rule ChromosomeSpec replaced, as an oracle: the truth
+    vector when the blocks tile [0, p) with H0 gaps, None when rejected."""
+    if p < 1:
+        return None
+    regions, cursor = [], 0
+    for a, b in sorted(h1_blocks):
+        if a > cursor:
+            regions.append((cursor, a, "H0"))
+        regions.append((a, b, "H1"))
+        cursor = b
+    if cursor < p:
+        regions.append((cursor, p, "H0"))
+    cursor = 0
+    for start, stop, _ in regions:
+        if start != cursor or stop <= start:
+            return None
+        cursor = stop
+    if cursor != p:
+        return None
+    truth = np.zeros(p, dtype=bool)
+    for a, b, label in regions:
+        truth[a:b] = label == "H1"
+    return truth
+
+@st.composite
+def block_lists(draw):
+    p = draw(st.integers(0, 30))
+    if draw(st.booleans()):
+        # arbitrary pairs: unsorted, overlapping, empty, reversed, negative, past p
+        bound = st.integers(-2, p + 2)
+        return p, draw(st.lists(st.tuples(bound, bound), max_size=5))
+    # consecutive cut points, some kept, shuffled: disjoint or touching
+    cuts = sorted(draw(st.lists(st.integers(0, p), max_size=8, unique=True)))
+    pairs = draw(st.permutations(list(zip(cuts, cuts[1:]))))
+    return p, pairs[: draw(st.integers(0, len(pairs)))]
+
+@settings(max_examples=300, deadline=None)
+@given(block_lists())
+def test_spec_accepts_exactly_what_the_tiling_accepted(case):
+    p, blocks = case
+    expected = tiling_truth(p, blocks)
+    if expected is None:
+        with pytest.raises(ValueError, match="^chromosome c: "):
+            ChromosomeSpec("c", p, tuple(blocks))
+    else:
+        chrom = ChromosomeSpec("c", p, tuple(blocks))
+        assert chrom.h1_blocks == tuple(sorted(blocks))
+        np.testing.assert_array_equal(chrom.truth(), expected)
 
 def test_zero_loadings_give_iid_noise():
     spec = one_block_spec(rho0=0.0, rho1=0.0, n=2000, p=40, seed=3)
@@ -104,7 +150,7 @@ def test_generation_reproducible():
 def test_default_scenario_geometry():
     spec = default_scenario()
     assert len(spec.chromosomes) == 5
-    assert spec.total_genes == 2500
+    assert sum(c.p for c in spec.chromosomes) == 2500
     widths = []
     for chrom in spec.chromosomes:
         assert chrom.p == 500

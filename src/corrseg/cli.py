@@ -116,8 +116,7 @@ def cmd_segment(config: RunConfig) -> int:
     if config.json_out:
         io.write_json(out / "segmentation.json", rows)
     if config.trace:
-        traces = {r.name: r.trace for r in results if r.trace is not None}
-        io.write_json(out / "trace.json", io.trace_payload(traces))
+        io.write_json(out / "trace.json", io.trace_payload({r.name: r.trace for r in results}))
     io.write_manifest(out / "manifest.json", config.manifest())
     return 0
 
@@ -285,7 +284,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     return 0
 
 
-def _parse_grid(text: str, cast=float, flag="", domain="", ok=lambda v: True) -> list:
+def _parse_grid(text: str, cast, flag: str, domain: str, ok) -> list:
     try:
         values = [cast(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
@@ -299,7 +298,12 @@ def cmd_power(config: RunConfig, n_grid: str, p_grid: str, rho_grid: str, alpha_
     rho0 = config.rho0 if config.rho0 is not None else 0.15
     ns = _parse_grid(n_grid, int, "--n", "be >= 2", lambda n: n >= 2)
     ps = _parse_grid(p_grid, int, "--p", "be >= 1", lambda p: p >= 1)
-    rhos = _parse_grid(rho_grid)
+    # compound symmetry is positive definite for -1/(p-1) < rho < 1
+    in_range = "lie in (-1/(p-1), 1) for every --p"
+    admissible = lambda r: r < 1 and all(p == 1 or -1 / (p - 1) < r for p in ps)
+    rhos = _parse_grid(rho_grid, float, "--rho", in_range, admissible)
+    if not admissible(rho0):
+        raise ValidationError(f"--rho0 values must {in_range}, got {rho0}")
     alphas = _parse_grid(alpha_grid, float, "--alpha", "lie in (0, 1)", lambda a: 0 < a < 1)
     rows = []
     for n in ns:

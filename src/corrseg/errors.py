@@ -50,7 +50,7 @@ class EmptyRegion(ValidationError):
 
 
 class InvalidRho0(ValidationError):
-    """Background correlation outside the admissible open interval."""
+    """A correlation (background or in-region) outside the admissible open interval."""
 
 
 class InvalidLoadings(ValidationError):

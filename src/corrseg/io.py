@@ -12,16 +12,18 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from array import array
 from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .core import ExpressionMatrix
-from .errors import IngestionError, MissingValues, SchemaError
+from .errors import CorrsegError, IngestionError, MissingValues, SchemaError
 from .segment import SelectionTrace
 from .significance import RegionReport
 
@@ -113,11 +115,12 @@ def read_expression(path: str | Path, transpose: bool = False) -> ExpressionMatr
     if transpose:
         values = values.T
         col_ids, row_ids = row_ids, col_ids
-    seen: set[str] = set()
-    for gene in col_ids:
-        if gene in seen:
-            raise SchemaError(f"{path}: gene id {gene!r} appears more than once")
-        seen.add(gene)
+    for kind, ids in (("gene", col_ids), ("patient", row_ids)):
+        seen: set[str] = set()
+        for name in ids:
+            if name in seen:
+                raise SchemaError(f"{path}: {kind} id {name!r} appears more than once")
+            seen.add(name)
     return ExpressionMatrix(
         values=values,
         gene_ids=tuple(col_ids),
@@ -126,12 +129,89 @@ def read_expression(path: str | Path, transpose: bool = False) -> ExpressionMatr
     )
 
 
-def _find_column(header: list[str], names: set[str]) -> int | None:
-    names = {n.lower() for n in names}
-    for i, h in enumerate(header):
-        if h.strip().lower() in names:
-            return i
-    return None
+_CHROMOSOME = ("chromosome", "chrom", "chr")
+
+@dataclass(frozen=True)
+class _Column:
+    """A column of a small table: its header aliases (the first names it in
+    results and messages), how a cell parses (raising on a bad one; `float`
+    cells parse as one block), and the value every row reads when the
+    header lacks the column (None: the column is required)."""
+
+    aliases: tuple[str, ...]
+    parse: Callable[[str], object] = str.strip
+    default: object = None
+
+    @property
+    def name(self) -> str:
+        return self.aliases[0]
+
+def _float_or_nan(cell: str) -> float:
+    """NaN for a missing-value marker, else a finite float as `_parse_float` reads it."""
+    return math.nan if cell.strip().lower() in _MISSING else _parse_float(cell, "")
+
+def _bool(cell: str) -> bool:
+    return {"true": True, "false": False}[cell.strip().lower()]
+
+def _read_table(
+    path: Path,
+    columns: tuple[_Column, ...],
+    fallbacks: tuple[tuple[str, ...], ...] = (),
+    error: type[CorrsegError] = SchemaError,
+    optional_header: bool = False,
+) -> tuple[dict[str, list | np.ndarray], array]:
+    """Read the declared columns of a table with a one-line header.
+
+    Columns are found by alias, in any case. If one without a default is
+    not, the longest layout in fallbacks no wider than the header gives
+    the columns by position. With optional_header, the first row is a
+    header only if its first cell is an alias, else it is data and the
+    layout is positional. Every row must reach every column found.
+
+    Returns column name -> values in declaration order (float64 arrays for
+    `float` columns, lists otherwise) and the file line of each data row.
+    The first short row or bad cell, in file order, raises error; a bad
+    `float` cell raises as `_parse_float` does.
+    """
+    rows, lines = _read_rows(path)
+    header = [field.strip().lower() for field in rows[0]]
+    found: dict[str, int] = {}
+    if not optional_header or header[0] in {a.lower() for c in columns for a in c.aliases}:
+        del rows[0], lines[0]
+        for c in columns:
+            hits = [header.index(a.lower()) for a in c.aliases if a.lower() in header]
+            if hits:
+                found[c.name] = min(hits)
+    missing = [c for c in columns if c.default is None and c.name not in found]
+    if missing:
+        layout = max((f for f in fallbacks if len(f) <= len(header)), key=len, default=None)
+        if layout is None:
+            raise error(f"{path}: needs a {'/'.join(missing[0].aliases)} column")
+        found = {name: j for j, name in enumerate(layout)}
+    used = [(c, found[c.name]) for c in columns if c.name in found]
+    try:
+        out = {
+            c.name: _parse_floats([row[j] for row in rows], lambda k: f"{path}: row {lines[k]}")
+            if c.parse is float else [c.parse(row[j]) for row in rows]
+            for c, j in used
+        }
+    except (LookupError, ValueError, CorrsegError):
+        need = max(j for _, j in used)
+        for row, line in zip(rows, lines):
+            where = f"{path}: row {line}"
+            if len(row) <= need:
+                raise error(f"{where}: too few fields") from None
+            for c, j in used:
+                if c.parse is float:
+                    _parse_float(row[j], where)
+                    continue
+                try:
+                    c.parse(row[j])
+                except (LookupError, ValueError, CorrsegError):
+                    raise error(f"{where}: bad {c.name} {row[j].strip()!r}") from None
+        raise  # not reached: the per-cell rules reject what the block parse did
+    return {c.name: out[c.name] if c.name in out else [c.default] * len(rows) for c in columns}, lines
+
 
 def read_annotation(path: str | Path) -> dict[str, tuple[str, float, float | None]]:
     """Read gene annotation: gene id, chromosome, start, optional end.
@@ -140,35 +220,28 @@ def read_annotation(path: str | Path) -> dict[str, tuple[str, float, float | Non
     positionally otherwise. Returns gene_id -> (chromosome, start, end).
     """
     path = Path(path)
-    rows, lines = _read_rows(path)
-    header, data = rows[0], rows[1:]
-    gi = _find_column(header, {"gene", "gene_id", "id"})
-    ci = _find_column(header, {"chromosome", "chrom", "chr"})
-    si = _find_column(header, {"start", "position", "pos"})
-    ei = _find_column(header, {"end", "stop"})
-    if gi is None or ci is None or si is None:
-        if len(header) < 3:
-            raise IngestionError(f"{path}: annotation needs gene, chromosome, start")
-        gi, ci, si = 0, 1, 2
-        ei = 3 if len(header) >= 4 else None
+    cols, lines = _read_table(
+        path,
+        (
+            _Column(("gene", "gene_id", "id")),
+            _Column(_CHROMOSOME),
+            _Column(("start", "position", "pos"), float),
+            _Column(("end", "stop"), _float_or_nan, default=math.nan),
+        ),
+        fallbacks=(("gene", "chromosome", "start"), ("gene", "chromosome", "start", "end")),
+        error=IngestionError,
+    )
     out: dict[str, tuple[str, float, float | None]] = {}
     first_row: dict[str, int] = {}
-    for row, line in zip(data, lines[1:]):
-        where = f"{path}: row {line}"
-        if len(row) <= max(gi, ci, si):
-            raise IngestionError(f"{where}: too few fields")
-        gene = row[gi].strip()
+    for gene, chrom, start, end, line in zip(
+        cols["gene"], cols["chromosome"], cols["start"].tolist(), cols["end"], lines
+    ):
         if gene in first_row:
             raise SchemaError(
                 f"{path}: gene {gene!r} is listed twice (rows {first_row[gene]} and {line})"
             )
         first_row[gene] = line
-        chrom = row[ci].strip()
-        start = _parse_float(row[si], where)
-        end = None
-        if ei is not None and ei < len(row) and row[ei].strip():
-            end = _parse_float(row[ei], where)
-        out[gene] = (chrom, start, end)
+        out[gene] = (chrom, start, None if math.isnan(end) else end)
     if not out:
         raise IngestionError(f"{path}: no annotation rows")
     return out
@@ -182,38 +255,25 @@ def read_covariate_long(
     Returns chromosome -> patient -> (positions, values), positions sorted.
     Without a chromosome column every probe lands on chromosome 'all'.
     """
-    path = Path(path)
-    rows, lines = _read_rows(path)
-    header, data = rows[0], rows[1:]
-    pi = _find_column(header, {"patient", "patient_id", "sample"})
-    ci = _find_column(header, {"chromosome", "chrom", "chr"})
-    xi = _find_column(header, {"position", "pos"})
-    vi = _find_column(header, {"value", "val", "ratio"})
-    if pi is None or xi is None or vi is None:
-        if len(header) == 3:
-            pi, xi, vi = 0, 1, 2
-        elif len(header) >= 4:
-            pi, ci, xi, vi = 0, 1, 2, 3
-        else:
-            raise IngestionError(f"{path}: covariate needs patient, position, value")
-    need = max(k for k in (pi, ci, xi, vi) if k is not None)
-    short = next((i for i, row in enumerate(data) if len(row) <= need), len(data))
-    # cells above the first short row are parsed first, so the first fault in file order is named
-    cells = [row[k] for row in data[:short] for k in (xi, vi)]
-    parsed = _parse_floats(cells, lambda j: f"{path}: row {lines[j // 2 + 1]}").reshape(-1, 2)
-    if short < len(data):
-        raise IngestionError(f"{path}: row {lines[short + 1]}: too few fields")
-    groups: dict[str, dict[str, list[int]]] = {}
-    for i, row in enumerate(data):
-        chrom = row[ci].strip() if ci is not None else "all"
-        groups.setdefault(chrom, {}).setdefault(row[pi].strip(), []).append(i)
+    cols, _ = _read_table(
+        Path(path),
+        (
+            _Column(("patient", "patient_id", "sample")),
+            _Column(_CHROMOSOME, default="all"),
+            _Column(("position", "pos"), float),
+            _Column(("value", "val", "ratio"), float),
+        ),
+        fallbacks=(("patient", "position", "value"), ("patient", "chromosome", "position", "value")),
+        error=IngestionError,
+    )
+    groups: dict[tuple[str, str], list[int]] = {}
+    for i, key in enumerate(zip(cols["chromosome"], cols["patient"])):
+        groups.setdefault(key, []).append(i)
     out: dict[str, dict[str, tuple[np.ndarray, np.ndarray]]] = {}
-    for chrom, patients in groups.items():
-        out[chrom] = {}
-        for patient, idx in patients.items():
-            pos, val = parsed[idx].T
-            order = np.lexsort((val, pos))
-            out[chrom][patient] = (pos[order], val[order])
+    for (chrom, patient), idx in groups.items():
+        pos, val = cols["position"][idx], cols["value"][idx]
+        order = np.lexsort((val, pos))
+        out.setdefault(chrom, {})[patient] = (pos[order], val[order])
     return out
 
 def read_covariate_wide(
@@ -222,34 +282,25 @@ def read_covariate_wide(
     """Read a wide covariate matrix (rows = patients) plus a positions file.
 
     The positions file has one row per probe column: either a single
-    position column or chromosome and position.
+    position column or chromosome and position, under an optional header.
     """
     matrix_path = Path(matrix_path)
-    pos_rows, lines = _read_rows(Path(positions_path))
-    header = pos_rows[0]
-    has_chrom = len(header) >= 2
-    start_at = 0
-    first = header[0].strip().lower()
-    if first in {"chromosome", "chrom", "chr", "position", "pos"}:
-        start_at = 1
-    probes: list[tuple[str, float]] = []
-    for row, line in zip(pos_rows[start_at:], lines[start_at:]):
-        where = f"{positions_path}: row {line}"
-        if len(row) < (2 if has_chrom else 1):
-            raise IngestionError(f"{where}: too few fields")
-        if has_chrom:
-            probes.append((row[0].strip(), _parse_float(row[1], where)))
-        else:
-            probes.append(("all", _parse_float(row[0], where)))
+    cols, _ = _read_table(
+        Path(positions_path),
+        (_Column(_CHROMOSOME, default="all"), _Column(("position", "pos"), float)),
+        fallbacks=(("position",), ("chromosome", "position")),
+        error=IngestionError,
+        optional_header=True,
+    )
     mat = read_expression(matrix_path)
-    if mat.p != len(probes):
+    positions = cols["position"]
+    if mat.p != len(positions):
         raise IngestionError(
-            f"{matrix_path}: {mat.p} probe columns but {len(probes)} positions"
+            f"{matrix_path}: {mat.p} probe columns but {len(positions)} positions"
         )
     out: dict[str, dict[str, tuple[np.ndarray, np.ndarray]]] = {}
-    chroms = np.array([c for c, _ in probes])
-    positions = np.array([x for _, x in probes])
-    for chrom in dict.fromkeys(chroms):
+    chroms = np.array(cols["chromosome"])
+    for chrom in dict.fromkeys(cols["chromosome"]):
         mask = chroms == chrom
         pos = positions[mask]
         order = np.argsort(pos, kind="stable")
@@ -296,26 +347,14 @@ def read_segmentation(path: str | Path) -> dict[str, list[tuple[int, int]]]:
     chromosome -> list of half-open (start, stop) pairs in gene order.
     """
     path = Path(path)
-    rows, lines = _read_rows(path)
-    header, data = rows[0], rows[1:]
-    ci = _find_column(header, {"chromosome", "chrom", "chr"})
-    si = _find_column(header, {"start"})
-    ei = _find_column(header, {"end", "stop"})
-    if ci is None or si is None or ei is None:
-        raise SchemaError(f"{path}: segmentation needs chromosome, start, end columns")
+    cols, lines = _read_table(
+        path, (_Column(_CHROMOSOME), _Column(("start",), int), _Column(("end", "stop"), int))
+    )
     out: dict[str, list[tuple[int, int]]] = {}
-    for row, line in zip(data, lines[1:]):
-        where = f"{path}: row {line}"
-        try:
-            start = int(row[si])
-            end = int(row[ei])
-        except (ValueError, IndexError) as exc:
-            raise SchemaError(f"{where}: bad start/end") from exc
-        if len(row) <= ci:
-            raise SchemaError(f"{where}: too few fields")
+    for chrom, start, end, line in zip(cols["chromosome"], cols["start"], cols["end"], lines):
         if start < 1 or end < start:
-            raise SchemaError(f"{where}: bad bounds {start}-{end}")
-        out.setdefault(row[ci].strip(), []).append((start - 1, end))
+            raise SchemaError(f"{path}: row {line}: bad bounds {start}-{end}")
+        out.setdefault(chrom, []).append((start - 1, end))
     for chrom, segs in out.items():
         segs.sort()
         cursor = segs[0][0]
@@ -342,58 +381,26 @@ def write_regions(path: str | Path, reports: list[RegionReport]) -> None:
     ]
     write_rows(path, REGIONS_HEADER, rows)
 
+# in RegionReport's field order, less p_k; untested regions carry nan p-values
+_REGION_COLUMNS = (
+    _Column(_CHROMOSOME),
+    _Column(("start",), int),
+    _Column(("end",), int),
+    *(_Column((name,), _float_or_nan, default=math.nan)
+      for name in ("rho_hat", "rho0", "T_obs", "lambda0")),
+    _Column(("p_value",), _float_or_nan),
+    _Column(("p_adjusted",), _float_or_nan, default=math.nan),
+    _Column(("significant",), _bool, default=False),
+    _Column(("tested",), _bool, default=True),
+)
+
 def read_regions(path: str | Path) -> list[RegionReport]:
     """Read a region report table (for the evaluation harness)."""
-    path = Path(path)
-    rows, lines = _read_rows(path)
-    header, data = rows[0], rows[1:]
-    idx = {name: _find_column(header, {name}) for name in REGIONS_HEADER}
-    for required in ("chromosome", "start", "end", "p_value"):
-        if idx[required] is None:
-            raise SchemaError(f"{path}: region table needs a {required} column")
-    out = []
-    for row, line in zip(data, lines[1:]):
-        where = f"{path}: row {line}"
-
-        def get(name: str, default=None):
-            j = idx[name]
-            return row[j] if j is not None and j < len(row) else default
-
-        def number(name: str) -> float:
-            # untested regions legitimately carry nan p-values
-            text = (get(name) or "nan").strip().lower()
-            if text in _MISSING:
-                return float("nan")
-            try:
-                return float(text)
-            except ValueError as exc:
-                raise SchemaError(f"{where}: bad {name} {text!r}") from exc
-
-        try:
-            start = int(get("start"))
-            end = int(get("end"))
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{where}: bad start/end") from exc
-        p_val = number("p_value")
-        if len(row) <= idx["chromosome"]:
-            raise SchemaError(f"{where}: too few fields")
-        out.append(
-            RegionReport(
-                chromosome=get("chromosome").strip(),
-                start=start,
-                end=end,
-                p_k=end - start + 1,
-                rho_hat=number("rho_hat"),
-                rho0_used=number("rho0"),
-                T_obs=number("T_obs"),
-                lambda0=number("lambda0"),
-                p_value=p_val,
-                p_adjusted=number("p_adjusted"),
-                significant=get("significant", "false").strip().lower() == "true",
-                tested=get("tested", "true").strip().lower() != "false",
-            )
-        )
-    return out
+    cols, _ = _read_table(Path(path), _REGION_COLUMNS)
+    return [
+        RegionReport(chrom, start, end, end - start + 1, *rest)
+        for chrom, start, end, *rest in zip(*cols.values())
+    ]
 
 
 def write_matrix(path: str | Path, matrix: ExpressionMatrix) -> None:
@@ -416,18 +423,10 @@ def write_truth(path: str | Path, truth_by_chrom: dict[str, np.ndarray], gene_id
 
 def read_truth(path: str | Path) -> dict[str, np.ndarray]:
     """Read a truth table (gene, chromosome, label) into per-chromosome flags."""
-    path = Path(path)
-    rows, lines = _read_rows(path)
-    header, data = rows[0], rows[1:]
-    ci = _find_column(header, {"chromosome", "chrom", "chr"})
-    li = _find_column(header, {"label", "status"})
-    if ci is None or li is None:
-        raise SchemaError(f"{path}: truth table needs chromosome and label columns")
+    cols, _ = _read_table(Path(path), (_Column(_CHROMOSOME), _Column(("label", "status"))))
     acc: dict[str, list[bool]] = {}
-    for row, line in zip(data, lines[1:]):
-        if len(row) <= max(ci, li):
-            raise SchemaError(f"{path}: row {line}: too few fields")
-        acc.setdefault(row[ci].strip(), []).append(row[li].strip().upper() == "H1")
+    for chrom, label in zip(cols["chromosome"], cols["label"]):
+        acc.setdefault(chrom, []).append(label.upper() == "H1")
     return {chrom: np.array(flags, dtype=bool) for chrom, flags in acc.items()}
 
 

@@ -18,7 +18,6 @@ from .io import natural_key
 from .segment import (
     Segmentation,
     SelectionTrace,
-    dp_segment,
     segmentation_from_breakpoints,
     select_k,
 )
@@ -111,15 +110,10 @@ def segment_chromosome(
     """Standardize, choose K and segment, in one DP pass."""
     std = standardize(matrix)
     try:
-        if matrix.p == 1:
-            trace = None
-            seg = dp_segment(std, 1, min_seg_len=min_seg_len)
-        else:
-            trace = select_k(std, k_max=k_max, S=S, rule=rule, min_seg_len=min_seg_len)
-            seg = trace.segmentation
+        trace = select_k(std, k_max=k_max, S=S, rule=rule, min_seg_len=min_seg_len)
     except KTooLarge as exc:
         raise KTooLarge(f"chromosome {name!r}: {exc}") from exc
-    return ChromosomeResult(name=name, matrix=std, segmentation=seg, trace=trace)
+    return ChromosomeResult(name=name, matrix=std, segmentation=trace.segmentation, trace=trace)
 
 def segment_all(
     views: list[ChromosomeView],

@@ -36,10 +36,10 @@ def lambda_factor(p_k: int, rho: float, n: int) -> float:
     """Null scale of the test statistic: (1 + (p_k - 1) rho) / (n p_k)."""
     return (1.0 + (p_k - 1) * rho) / (n * p_k)
 
-def _check_rho0(rho0: float, p_k: int) -> None:
+def _check_rho0(rho0: float, p_k: int, name: str = "rho0") -> None:
     lo = -1.0 / (p_k - 1) if p_k >= 2 else -math.inf
     if not lo < rho0 < 1.0:
-        raise InvalidRho0(f"rho0={rho0} outside ({lo}, 1) for region width {p_k}")
+        raise InvalidRho0(f"{name}={rho0} outside ({lo}, 1) for region width {p_k}")
 
 def p_value(T_obs: float, p_k: int, rho0: float, n: int) -> float:
     """Upper-tail chi-square(n-1) probability of T_obs under rho = rho0."""
@@ -58,6 +58,7 @@ def power(n: int, p: int, rho: float, rho0: float, alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     _check_rho0(rho0, p)
+    _check_rho0(rho, p, "rho")
     dist = ChiSquare(n - 1)
     ratio = (1.0 + (p - 1) * rho0) / (1.0 + (p - 1) * rho)
     return dist.sf(ratio * dist.quantile(1.0 - alpha))

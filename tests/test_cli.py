@@ -104,7 +104,7 @@ class TestSegmentCommand:
                        ["a3", "chrA", 5, 6], ["b1", "chrB", 1, 2]])
         code = main([
             "segment", "--input", str(tmp_path / "expr.tsv"),
-            "--annotation", str(tmp_path / "ann.tsv"), "--out", str(tmp_path),
+            "--annotation", str(tmp_path / "ann.tsv"), "--trace", "--out", str(tmp_path),
         ])
         assert code == 0
         rows = [r for r in read_tsv(tmp_path / "segmentation.tsv")
@@ -112,6 +112,7 @@ class TestSegmentCommand:
         assert len(rows) == 1
         assert (int(rows[0]["start"]), int(rows[0]["end"])) == (1, 1)
         assert float(rows[0]["rho_hat"]) == 0.0
+        assert json.loads((tmp_path / "trace.json").read_text())["chrB"]["chosen_K"] == 1
         # and the region is reported as untestable downstream
         code = main([
             "test", "--input", str(tmp_path / "expr.tsv"),
@@ -442,6 +443,18 @@ class TestCorrectCommand:
         assert code == 2
         assert f"{positions}: row 4: too few fields" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["segment", "correct"])
+    def test_repeated_patient_id_exit_3(self, tmp_path, capsys, command):
+        expr, ann, cov, _, _ = self._toy_inputs(tmp_path)
+        lines = expr.read_text().splitlines()
+        lines.append("P1\t" + "\t".join(str(j + 0.5) for j in range(6)))
+        expr.write_text("\n".join(lines) + "\n")
+        extra = ["--covariate", str(cov)] if command == "correct" else []
+        code = main([command, "--input", str(expr), "--annotation", str(ann), *extra,
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert f"{expr}: patient id 'P1' appears more than once\n" in capsys.readouterr().err
+
     def test_patient_mismatch_exit_3(self, tmp_path, capsys):
         expr, ann, _, _, _ = self._toy_inputs(tmp_path)
         rows = []
@@ -596,6 +609,8 @@ class TestPowerCommand:
         ("--p", "0", "0"),
         ("--alpha", "0", "0.0"),
         ("--alpha", "0.05,1.5", "1.5"),
+        ("--rho", "1.5", "1.5"),
+        ("--rho0", "1.5", "1.5"),
     ])
     def test_out_of_domain_grid_exit_3(self, tmp_path, capsys, flag, grid, first_bad):
         assert main(["power", flag, grid, "--out", str(tmp_path)]) == 3

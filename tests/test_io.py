@@ -4,10 +4,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from corrseg import io
-from corrseg.errors import IngestionError, MissingValues, SchemaError
+from corrseg.errors import (
+    CorrsegError, IngestionError, MissingValues, SchemaError, ValidationError,
+)
 from corrseg.significance import RegionReport
 from conftest import as_matrix
 
@@ -145,11 +147,13 @@ def test_read_expression_names_first_bad_cell_in_file_order(tmp_path):
 def test_read_annotation_by_name(tmp_path):
     p = write(
         tmp_path / "a.tsv",
-        "start\tgene\tchromosome\tend\n100\tgA\tchr1\t200\n300\tgB\tchr2\t\n",
+        "start\tgene\tchromosome\tend\n100\tgA\tchr1\t200\n300\tgB\tchr2\t\n"
+        "400\tgC\tchr2\tNA\n",
     )
     ann = io.read_annotation(p)
     assert ann["gA"] == ("chr1", 100.0, 200.0)
     assert ann["gB"] == ("chr2", 300.0, None)
+    assert ann["gC"] == ("chr2", 400.0, None)
 
 def test_read_annotation_positional(tmp_path):
     p = write(tmp_path / "a.tsv", "a\tb\tc\ngA\tchr1\t100\ngB\tchr1\t50\n")
@@ -235,19 +239,22 @@ def test_read_covariate_long_row_missing_chromosome(tmp_path):
 
 def test_read_covariate_wide(tmp_path):
     write(
-        tmp_path / "pos.tsv",
-        "chromosome\tposition\nchr1\t100\nchr1\t300\nchr2\t50\n",
-    )
-    write(
         tmp_path / "w.tsv",
         "patient\ts1\ts2\ts3\nP1\t1\t2\t3\nP2\t4\t5\t6\nP3\t7\t8\t9\n",
     )
-    cov = io.read_covariate_wide(tmp_path / "w.tsv", tmp_path / "pos.tsv")
-    assert set(cov) == {"chr1", "chr2"}
-    pos, val = cov["chr1"]["P2"]
-    assert pos.tolist() == [100.0, 300.0]
-    assert val.tolist() == [4.0, 5.0]
-    assert cov["chr2"]["P3"][1].tolist() == [9.0]
+    # a header, named columns in another order, no header
+    for positions in (
+        "chromosome\tposition\nchr1\t100\nchr1\t300\nchr2\t50\n",
+        "Pos\tchrom\n100\tchr1\n300\tchr1\n50\tchr2\n",
+        "chr1\t100\nchr1\t300\nchr2\t50\n",
+    ):
+        write(tmp_path / "pos.tsv", positions)
+        cov = io.read_covariate_wide(tmp_path / "w.tsv", tmp_path / "pos.tsv")
+        assert set(cov) == {"chr1", "chr2"}
+        pos, val = cov["chr1"]["P2"]
+        assert pos.tolist() == [100.0, 300.0]
+        assert val.tolist() == [4.0, 5.0]
+        assert cov["chr2"]["P3"][1].tolist() == [9.0]
 
 def test_read_covariate_wide_count_mismatch(tmp_path):
     write(tmp_path / "pos.tsv", "position\n100\n")
@@ -325,6 +332,18 @@ def test_regions_missing_float_cells_read_as_nan(tmp_path):
         assert np.isnan(value)
 
 
+def test_regions_booleans_are_strict(tmp_path):
+    head = "Chr\tstart\tend\tp_value\tsignificant\ttested\n"
+    ok = write(tmp_path / "ok.tsv", head + "chr1\t1\t2\t0.01\tTRUE\tTrue\nchr1\t3\t4\tnan\tfalse\tFALSE\n")
+    assert [(r.significant, r.tested) for r in io.read_regions(ok)] == [(True, True), (False, False)]
+    absent = write(tmp_path / "absent.tsv", "chromosome\tstart\tend\tp_value\nchr1\t1\t2\t0.5\n")
+    assert [(r.significant, r.tested) for r in io.read_regions(absent)] == [(False, True)]
+    for cell in ("0", "no", "1", ""):
+        bad = write(tmp_path / "bad.tsv", head + f"chr1\t1\t2\t0.5\tfalse\ttrue\nchr1\t3\t4\t0.5\tfalse\t{cell}\n")
+        with pytest.raises(SchemaError, match=re.escape(f"{bad}: row 3: bad tested '{cell}'") + "$"):
+            io.read_regions(bad)
+
+
 # ---------------------------------------------------------- truth and misc
 
 @pytest.mark.parametrize("reader, text, error, message", [
@@ -338,6 +357,42 @@ def test_regions_missing_float_cells_read_as_nan(tmp_path):
      SchemaError, "gene 'g1' is listed twice (rows 3 and 5)"),
 ], ids=["expression", "covariate", "truth", "annotation"])
 def test_row_numbers_count_blank_lines(tmp_path, reader, text, error, message):
+    path = write(tmp_path / "f.tsv", text)
+    with pytest.raises(error, match=re.escape(f"{path}: {message}") + "$"):
+        reader(path)
+
+@pytest.mark.parametrize("reader, text, error, message", [
+    (io.read_annotation, "gene\tchromosome\nchr1_g1\tchr1\n",
+     IngestionError, "needs a start/position/pos column"),
+    (io.read_covariate_long, "patient\tvalue\nP1\t0.5\n",
+     IngestionError, "needs a position/pos column"),
+    (io.read_segmentation, "chromosome\tend\nchr1\t2\n", SchemaError, "needs a start column"),
+    (io.read_regions, "chromosome\tstart\tend\nchr1\t1\t2\n", SchemaError, "needs a p_value column"),
+    (io.read_truth, "gene\tchromosome\nchr1_g1\tchr1\n", SchemaError, "needs a label/status column"),
+    (io.read_segmentation, "chromosome\tstart\tend\nchr1\t1\t2\nchr1\tx\t4\n",
+     SchemaError, "row 3: bad start 'x'"),
+    (io.read_regions, "chromosome\tstart\tend\tp_value\nchr1\t1\t2.5\t0.1\n",
+     SchemaError, "row 2: bad end '2.5'"),
+    (io.read_regions, "chromosome\tstart\tend\tp_value\nchr1\t1\t2\t inf\n",
+     SchemaError, "row 2: bad p_value 'inf'"),
+    (io.read_regions, "chromosome\tstart\tend\tp_value\trho_hat\nchr1\t1\t2\t0.1\n",
+     SchemaError, "row 2: too few fields"),
+    (io.read_annotation, "gene\tchromosome\tstart\tend\ng1\tchr1\t1\tx\n",
+     IngestionError, "row 2: bad end 'x'"),
+    (io.read_annotation, "gene\tchromosome\tstart\tend\ng1\tchr1\t1\t4\ng2\tchr1\t5\n",
+     IngestionError, "row 3: too few fields"),
+    # a bad cell is reported before a reader's own row and cross-row rules
+    (io.read_segmentation, "chromosome\tstart\tend\nchr1\t5\t2\nchr1\tx\t4\n",
+     SchemaError, "row 3: bad start 'x'"),
+    (io.read_annotation, "gene\tchromosome\tstart\ng1\tchr1\t1\ng1\tchr1\t2\ng2\tchr1\tx\n",
+     IngestionError, "row 4: non-numeric value 'x'"),
+], ids=[
+    "annotation-header", "covariate-header", "segmentation-header", "regions-header",
+    "truth-header", "segmentation-int", "regions-int", "regions-inf", "regions-short",
+    "annotation-end", "annotation-short", "segmentation-cell-before-bounds",
+    "annotation-cell-before-duplicate",
+])
+def test_table_fault_named(tmp_path, reader, text, error, message):
     path = write(tmp_path / "f.tsv", text)
     with pytest.raises(error, match=re.escape(f"{path}: {message}") + "$"):
         reader(path)
@@ -364,3 +419,84 @@ def test_manifest_is_stable(tmp_path):
     assert b1 == (tmp_path / "m2.json").read_bytes()
     assert b"version" in b1
     assert b"timestamp" not in b1
+
+
+# ------------------------------------------------------- reader properties
+
+# One tiny valid file per small table; the positions file is read with a
+# fixed three-probe matrix.
+TABLES = {
+    "annotation": "gene\tchromosome\tstart\tend\ng1\tchr1\t1\t5\ng2\tchr1\t6\t9\ng3\tchr2\t1\t4\n",
+    "covariate": "patient\tchromosome\tposition\tvalue\n"
+                 "P1\tchr1\t2\t0.5\nP1\tchr1\t1\t0.7\nP2\tchr1\t1\t0.1\nP2\tchr2\t4\t0.3\n",
+    "positions": "chromosome\tposition\nchr1\t1\nchr1\t5\nchr2\t2\n",
+    "segmentation": "chromosome\tstart\tend\nchr1\t1\t2\nchr1\t3\t5\nchr2\t1\t4\n",
+    "regions": "chromosome\tstart\tend\trho_hat\tp_value\tp_adjusted\tsignificant\ttested\n"
+               "chr1\t1\t2\t0.4\t0.01\t0.02\ttrue\ttrue\nchr1\t3\t3\t0.0\tnan\tnan\tfalse\tfalse\n",
+    "truth": "gene\tchromosome\tlabel\ng1\tchr1\tH0\ng2\tchr1\tH1\ng3\tchr2\tH0\n",
+}
+MATRIX = "patient\tq1\tq2\tq3\nP1\t1\t2\t3\nP2\t4\t5\t7\nP3\t2\t0\t1\n"
+READERS = {
+    "annotation": io.read_annotation,
+    "covariate": io.read_covariate_long,
+    "positions": lambda path: io.read_covariate_wide(path.with_name("matrix.tsv"), path),
+    "segmentation": io.read_segmentation,
+    "regions": io.read_regions,
+    "truth": io.read_truth,
+}
+MUTATIONS = ["drop line", "duplicate line", "blank line", "drop field", "append field", "replace cell"]
+
+def _mutate(data, text):
+    lines = text.splitlines()
+    for _ in range(data.draw(st.integers(1, 2))):
+        if not lines:
+            break
+        i = data.draw(st.integers(0, len(lines) - 1))
+        fields = lines[i].split("\t")
+        kind = data.draw(st.sampled_from(MUTATIONS))
+        if kind == "drop line":
+            del lines[i]
+        elif kind == "duplicate line":
+            lines.insert(i, lines[i])
+        elif kind == "blank line":
+            lines[i] = ""
+        elif kind == "drop field":
+            del fields[data.draw(st.integers(0, len(fields) - 1))]
+            lines[i] = "\t".join(fields)
+        elif kind == "append field":
+            lines[i] += "\t1"
+        else:
+            fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(
+                st.sampled_from(["", "NA", "inf", "1e308", "abc", "0", "no"])
+            )
+            lines[i] = "\t".join(fields)
+    return lines
+
+def _read(table, path):
+    """The reader's result in comparable form, or the exit family of its error."""
+    try:
+        result = READERS[table](path)
+    except CorrsegError as exc:
+        assert str(exc).startswith((str(path), str(path.with_name("matrix.tsv")))), str(exc)
+        return IngestionError if isinstance(exc, IngestionError) else ValidationError
+    if table == "covariate":
+        return {c: {p: (x.tolist(), v.tolist()) for p, (x, v) in s.items()} for c, s in result.items()}
+    return result
+
+@pytest.mark.parametrize("table", list(TABLES))
+@settings(deadline=None, max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_readers_name_the_file_and_ignore_row_order(tmp_path, table, data):
+    """(a) A mutated table reads, or fails naming its file. (b) For tables
+    whose result has no row order, permuting the data rows gives an equal
+    result or an error of the same exit family."""
+    write(tmp_path / "matrix.tsv", MATRIX)
+    lines = _mutate(data, TABLES[table])
+    path = write(tmp_path / "f.tsv", "".join(line + "\n" for line in lines))
+    first = _read(table, path)
+    if table in ("annotation", "covariate", "segmentation"):
+        # the header is the first non-blank line
+        head = next((i + 1 for i, line in enumerate(lines) if line), len(lines))
+        body = data.draw(st.permutations(lines[head:]))
+        write(path, "".join(line + "\n" for line in [*lines[:head], *body]))
+        assert _read(table, path) == first

@@ -87,6 +87,11 @@ def test_p_value_rho0_domain():
     assert 0.0 <= p_value(0.5, 5, -0.2, 20) <= 1.0
     # singleton regions accept any rho0 below 1
     assert 0.0 <= p_value(0.5, 1, -5.0, 20) <= 1.0
+    # power checks the in-region rho on the same interval
+    with pytest.raises(InvalidRho0, match=r"^rho=1.5 outside"):
+        power(10, 5, 1.5, 0.15, 0.05)
+    with pytest.raises(InvalidRho0, match=r"^rho=-0.25 outside"):
+        power(10, 5, -0.25, -0.2, 0.05)
 
 
 # ----------------------------------------------------------------- power

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from .pipeline import (
     split_by_chromosome,
     test_all,
 )
-from .core import ExpressionMatrix, standardize
+from .core import standardize
 from .significance import power
 from .simulate import (
     ChromosomeSpec,
@@ -143,14 +143,7 @@ def cmd_test(config: RunConfig) -> int:
     out = _outdir(config)
     io.write_regions(out / "regions.tsv", reports)
     if config.json_out:
-        io.write_json(
-            out / "regions.json",
-            [
-                {k: (None if isinstance(v, float) and v != v else v)
-                 for k, v in vars(r).items()}
-                for r in reports
-            ],
-        )
+        io.write_json(out / "regions.json", [vars(r) for r in reports])
     io.write_manifest(out / "manifest.json", config.manifest())
     return 0
 
@@ -182,15 +175,7 @@ def cmd_correct(config: RunConfig) -> int:
         corrected_values[:, view.columns] = corrected.values
         sidecar[view.name] = info
     out = _outdir(config)
-    io.write_matrix(
-        out / "corrected.tsv",
-        ExpressionMatrix(
-            values=corrected_values,
-            gene_ids=matrix.gene_ids,
-            standardized=False,
-            patient_ids=matrix.patient_ids,
-        ),
-    )
+    io.write_matrix(out / "corrected.tsv", replace(matrix, values=corrected_values))
     io.write_json(out / "correction.json", sidecar)
     io.write_manifest(out / "manifest.json", config.manifest())
     return 0
@@ -242,15 +227,10 @@ def cmd_simulate(config: RunConfig) -> int:
     matrix = generate(spec)
     out = _outdir(config)
     io.write_matrix(out / "expression.tsv", matrix)
-    ann = annotation_rows(spec)
-    io.write_rows(
-        out / "annotation.tsv",
-        ["gene", "chromosome", "start", "end"],
-        [[g, c, s, e] for g, c, s, e in ann],
-    )
-    truth = spec.truth_by_chromosome()
-    gene_ids = {c.name: [f"{c.name}_g{j + 1}" for j in range(c.p)] for c in spec.chromosomes}
-    io.write_truth(out / "truth.tsv", truth, gene_ids)
+    io.write_rows(out / "annotation.tsv", ["gene", "chromosome", "start", "end"],
+                  annotation_rows(spec))
+    gene_ids = {c.name: c.gene_ids() for c in spec.chromosomes}
+    io.write_truth(out / "truth.tsv", spec.truth_by_chromosome(), gene_ids)
     io.write_manifest(out / "manifest.json", config.manifest())
     return 0
 
@@ -261,17 +241,10 @@ def cmd_evaluate(config: RunConfig) -> int:
     result = evaluate(truth, reports)
     out = _outdir(config)
     for level, roc in (("gene", result.gene_level), ("region", result.region_level)):
-        io.write_rows(
-            out / f"roc_{level}.tsv",
-            ["threshold", "tpr", "fpr"],
-            [[repr(t), repr(tp), repr(fp)]
-             for t, tp, fp in zip(roc.thresholds, roc.tpr, roc.fpr)],
-        )
-    io.write_rows(
-        out / "auc.tsv",
-        ["level", "auc"],
-        [["gene", repr(result.gene_level.auc)], ["region", repr(result.region_level.auc)]],
-    )
+        io.write_rows(out / f"roc_{level}.tsv", ["threshold", "tpr", "fpr"],
+                      zip(roc.thresholds, roc.tpr, roc.fpr))
+    io.write_rows(out / "auc.tsv", ["level", "auc"],
+                  [["gene", result.gene_level.auc], ["region", result.region_level.auc]])
     if config.json_out:
         io.write_json(
             out / "evaluation.json",
@@ -312,10 +285,7 @@ def cmd_power(config: RunConfig, n_grid: str, p_grid: str, rho_grid: str, alpha_
                 if rho < rho0:
                     continue
                 for alpha in alphas:
-                    rows.append(
-                        [n, p, repr(float(rho)), repr(float(rho0)), repr(float(alpha)),
-                         repr(power(n, p, rho, rho0, alpha))]
-                    )
+                    rows.append([n, p, rho, rho0, alpha, power(n, p, rho, rho0, alpha)])
     out = _outdir(config)
     io.write_rows(out / "power.tsv", ["n", "p", "rho", "rho0", "alpha", "power"], rows)
     manifest = config.manifest()

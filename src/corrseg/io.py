@@ -3,8 +3,10 @@ writers for segmentations, region reports, ROC tables, and run manifests.
 
 All tabular files carry a one-line header. Gene coordinates in output
 files are 1-based inclusive; the library's half-open 0-based convention
-stays internal. Floats are written with repr so nothing is lost to
-formatting; manifests record config, version, and seed but no clocks, so
+stays internal. Writers pass model values; `write_rows` alone formats a
+table cell (a float as its shortest round-trip repr, a bool as
+true/false) and `write_json` alone a JSON value (NaN as null, strict
+JSON). Manifests record config, version, and seed but no clocks, so
 rerunning a seeded command reproduces outputs byte for byte.
 """
 
@@ -15,7 +17,7 @@ import json
 import math
 import re
 from array import array
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .core import ExpressionMatrix
-from .errors import CorrsegError, IngestionError, MissingValues, SchemaError
+from .errors import CorrsegError, IngestionError, InvalidMatrix, MissingValues, SchemaError
 from .segment import SelectionTrace
 from .significance import RegionReport
 
@@ -121,12 +123,10 @@ def read_expression(path: str | Path, transpose: bool = False) -> ExpressionMatr
             if name in seen:
                 raise SchemaError(f"{path}: {kind} id {name!r} appears more than once")
             seen.add(name)
-    return ExpressionMatrix(
-        values=values,
-        gene_ids=tuple(col_ids),
-        standardized=False,
-        patient_ids=tuple(row_ids),
-    )
+    try:
+        return ExpressionMatrix(values=values, gene_ids=tuple(col_ids), patient_ids=tuple(row_ids))
+    except InvalidMatrix as exc:
+        raise InvalidMatrix(f"{path}: {exc}") from None
 
 
 _CHROMOSOME = ("chromosome", "chrom", "chr")
@@ -152,6 +152,9 @@ def _float_or_nan(cell: str) -> float:
 
 def _bool(cell: str) -> bool:
     return {"true": True, "false": False}[cell.strip().lower()]
+
+def _h1(cell: str) -> bool:
+    return {"h1": True, "h0": False}[cell.strip().lower()]
 
 def _read_table(
     path: Path,
@@ -316,29 +319,26 @@ def natural_key(name: str) -> tuple:
     return tuple(int(t) if t.isdigit() else t for t in re.split(r"(\d+)", name))
 
 
-def write_rows(path: str | Path, header: list[str], rows: list[list]) -> None:
+def _fmt(value) -> str:
+    if isinstance(value, float):  # np.float64 too, whose repr names its type
+        return repr(float(value))
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+def write_rows(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:
+    """Write a tab-separated table; every cell is formatted by `_fmt`."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+        writer.writerows(map(_fmt, row) for row in rows)
 
 
 SEGMENTATION_HEADER = ["chromosome", "segment", "start", "end", "p_k", "rho_hat", "loglik"]
 
 def write_segmentation(path: str | Path, rows: list[dict]) -> None:
     """Write segmentation rows (one per segment, 1-based inclusive bounds)."""
-    write_rows(
-        path,
-        SEGMENTATION_HEADER,
-        [[_fmt(r[k]) for k in SEGMENTATION_HEADER] for r in rows],
-    )
+    write_rows(path, SEGMENTATION_HEADER, ([r[k] for k in SEGMENTATION_HEADER] for r in rows))
 
 def read_segmentation(path: str | Path) -> dict[str, list[tuple[int, int]]]:
     """Read a segmentation written by this package or an external tool.
@@ -371,15 +371,8 @@ REGIONS_HEADER = [
 ]
 
 def write_regions(path: str | Path, reports: list[RegionReport]) -> None:
-    rows = [
-        [
-            r.chromosome, r.start, r.end, r.p_k, _fmt(r.rho_hat), _fmt(r.rho0_used),
-            _fmt(r.T_obs), _fmt(r.lambda0), _fmt(r.p_value), _fmt(r.p_adjusted),
-            _fmt(r.significant), _fmt(r.tested),
-        ]
-        for r in reports
-    ]
-    write_rows(path, REGIONS_HEADER, rows)
+    # RegionReport's fields are in the header's order
+    write_rows(path, REGIONS_HEADER, (vars(r).values() for r in reports))
 
 # in RegionReport's field order, less p_k; untested regions carry nan p-values
 _REGION_COLUMNS = (
@@ -405,13 +398,12 @@ def read_regions(path: str | Path) -> list[RegionReport]:
 
 def write_matrix(path: str | Path, matrix: ExpressionMatrix) -> None:
     """Write an expression matrix in the ingestion layout (patients as rows)."""
-    header = ["patient", *matrix.gene_ids]
-    rows = [
-        [matrix.patient_ids[i] if matrix.patient_ids else f"R{i + 1:03d}"]
-        + [repr(float(v)) for v in matrix.values[i]]
-        for i in range(matrix.n)
-    ]
-    write_rows(path, header, rows)
+    ids = matrix.patient_ids or [f"R{i + 1:03d}" for i in range(matrix.n)]
+    write_rows(
+        path,
+        ["patient", *matrix.gene_ids],
+        ([pid, *row] for pid, row in zip(ids, matrix.values.tolist())),
+    )
 
 
 def write_truth(path: str | Path, truth_by_chrom: dict[str, np.ndarray], gene_ids: dict[str, list[str]]) -> None:
@@ -423,31 +415,33 @@ def write_truth(path: str | Path, truth_by_chrom: dict[str, np.ndarray], gene_id
 
 def read_truth(path: str | Path) -> dict[str, np.ndarray]:
     """Read a truth table (gene, chromosome, label) into per-chromosome flags."""
-    cols, _ = _read_table(Path(path), (_Column(_CHROMOSOME), _Column(("label", "status"))))
+    cols, _ = _read_table(Path(path), (_Column(_CHROMOSOME), _Column(("label", "status"), _h1)))
     acc: dict[str, list[bool]] = {}
-    for chrom, label in zip(cols["chromosome"], cols["label"]):
-        acc.setdefault(chrom, []).append(label.upper() == "H1")
+    for chrom, flag in zip(cols["chromosome"], cols["label"]):
+        acc.setdefault(chrom, []).append(flag)
     return {chrom: np.array(flags, dtype=bool) for chrom, flags in acc.items()}
 
 
 def trace_payload(traces: dict[str, SelectionTrace]) -> dict:
+    """Each chromosome's SelectionTrace fields but the segmentation."""
     return {
-        chrom: {
-            "L": list(t.L),
-            "Ltilde": list(t.Ltilde),
-            "Ktilde": list(t.Ktilde),
-            "second_diffs": list(t.second_diffs),
-            "chosen_K": t.chosen_K,
-            "threshold_S": t.threshold_S,
-            "rule": t.rule,
-            "degenerate": t.degenerate,
-        }
+        chrom: {k: v for k, v in vars(t).items() if k != "segmentation"}
         for chrom, t in traces.items()
     }
 
+def _json_value(value):
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return value
+
 def write_json(path: str | Path, payload) -> None:
+    """Write strict JSON with sorted keys: NaN as null, tuples as lists."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_json_value(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 def write_manifest(path: str | Path, config: dict) -> None:

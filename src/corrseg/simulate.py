@@ -47,6 +47,10 @@ class ChromosomeSpec:
             cursor = b
         object.__setattr__(self, "h1_blocks", blocks)
 
+    def gene_ids(self) -> list[str]:
+        """Gene ids in chromosome order: '<name>_g1' to '<name>_g<p>'."""
+        return [f"{self.name}_g{j + 1}" for j in range(self.p)]
+
     def truth(self) -> np.ndarray:
         """Boolean H1 indicator per gene."""
         out = np.zeros(self.p, dtype=bool)
@@ -132,8 +136,8 @@ def generate(spec: ScenarioSpec) -> ExpressionMatrix:
     """Draw one dataset from the scenario.
 
     Chromosomes are generated sequentially from a single seeded stream,
-    so identical specs give bit-identical matrices. Gene ids encode the
-    chromosome as '<name>_g<j>'; `annotation_rows` places them 1000 apart
+    so identical specs give bit-identical matrices. Gene ids are
+    `ChromosomeSpec.gene_ids`; `annotation_rows` places them 1000 apart
     within each chromosome.
     """
     rng = np.random.default_rng(spec.seed)
@@ -153,7 +157,7 @@ def generate(spec: ScenarioSpec) -> ExpressionMatrix:
                 + np.sqrt(1.0 - spec.rho1) * noise[:, a:b]
             )
         columns.append(Y)
-        gene_ids.extend(f"{chrom.name}_g{j + 1}" for j in range(chrom.p))
+        gene_ids.extend(chrom.gene_ids())
     return ExpressionMatrix(
         values=np.concatenate(columns, axis=1),
         gene_ids=tuple(gene_ids),
@@ -165,9 +169,9 @@ def annotation_rows(spec: ScenarioSpec) -> list[tuple[str, str, int, int]]:
     """(gene_id, chromosome, start, end) rows matching generate()'s layout."""
     rows = []
     for chrom in spec.chromosomes:
-        for j in range(chrom.p):
+        for j, gene in enumerate(chrom.gene_ids()):
             start = 1000 * (j + 1)
-            rows.append((f"{chrom.name}_g{j + 1}", chrom.name, start, start + 100))
+            rows.append((gene, chrom.name, start, start + 100))
     return rows
 
 

@@ -104,7 +104,8 @@ class TestSegmentCommand:
                        ["a3", "chrA", 5, 6], ["b1", "chrB", 1, 2]])
         code = main([
             "segment", "--input", str(tmp_path / "expr.tsv"),
-            "--annotation", str(tmp_path / "ann.tsv"), "--trace", "--out", str(tmp_path),
+            "--annotation", str(tmp_path / "ann.tsv"), "--trace", "--json",
+            "--out", str(tmp_path),
         ])
         assert code == 0
         rows = [r for r in read_tsv(tmp_path / "segmentation.tsv")
@@ -118,7 +119,7 @@ class TestSegmentCommand:
             "test", "--input", str(tmp_path / "expr.tsv"),
             "--annotation", str(tmp_path / "ann.tsv"),
             "--segmentation", str(tmp_path / "segmentation.tsv"),
-            "--out", str(tmp_path),
+            "--json", "--out", str(tmp_path),
         ])
         assert code == 0
         reports = io.read_regions(tmp_path / "regions.tsv")
@@ -127,6 +128,13 @@ class TestSegmentCommand:
         assert not solo[0].tested
         assert not solo[0].significant
         assert np.isnan(solo[0].p_value)
+        # the JSON mirrors are strict JSON: NaN is written as null
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+        strict = {name: json.loads((tmp_path / name).read_text(), parse_constant=reject)
+                  for name in ("regions.json", "segmentation.json", "trace.json")}
+        (untested,) = [r for r in strict["regions.json"] if r["chromosome"] == "chrB"]
+        assert untested["p_value"] is None
 
     def test_empty_file_exit_2(self, tmp_path):
         empty = tmp_path / "empty.tsv"

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from corrseg import io
 from corrseg.errors import (
-    CorrsegError, IngestionError, MissingValues, SchemaError, ValidationError,
+    CorrsegError, IngestionError, InvalidMatrix, MissingValues, SchemaError, ValidationError,
 )
 from corrseg.significance import RegionReport
 from conftest import as_matrix
@@ -344,6 +344,33 @@ def test_regions_booleans_are_strict(tmp_path):
             io.read_regions(bad)
 
 
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e16, 0.1 + 0.2]),
+)
+
+@settings(deadline=None, max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    rows=st.lists(
+        st.tuples(st.lists(st.tuples(FINITE, st.booleans()), min_size=6, max_size=6),
+                  st.booleans(), st.booleans()),
+        min_size=1, max_size=4,
+    )
+)
+def test_written_floats_read_back_with_the_same_bits(tmp_path, rows):
+    """Floats (np.float64 ones too) and booleans survive write_rows -> read_regions."""
+    cells = [
+        ["chr1", 1, 2, 2, *(np.float64(v) if wrap else v for v, wrap in floats), sig, tested]
+        for floats, sig, tested in rows
+    ]
+    io.write_rows(tmp_path / "r.tsv", io.REGIONS_HEADER, cells)
+    back = io.read_regions(tmp_path / "r.tsv")
+    got = [(r.rho_hat, r.rho0_used, r.T_obs, r.lambda0, r.p_value, r.p_adjusted) for r in back]
+    want = [[float(v) for v in row[4:10]] for row in cells]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert [(r.significant, r.tested) for r in back] == [(sig, tested) for _, sig, tested in rows]
+
+
 # ---------------------------------------------------------- truth and misc
 
 @pytest.mark.parametrize("reader, text, error, message", [
@@ -386,11 +413,18 @@ def test_row_numbers_count_blank_lines(tmp_path, reader, text, error, message):
      SchemaError, "row 3: bad start 'x'"),
     (io.read_annotation, "gene\tchromosome\tstart\ng1\tchr1\t1\ng1\tchr1\t2\ng2\tchr1\tx\n",
      IngestionError, "row 4: non-numeric value 'x'"),
+    *[(io.read_truth, f"gene\tchromosome\tlabel\ng1\tchr1\th1\ng2\tchr1\t{cell}\n",
+       SchemaError, f"row 3: bad label '{cell}'") for cell in ("1", "yes", "H2")],
+    (io.read_expression, "patient\tg1\tg2\nP1\t1\t2\nP2\t3\t4\n",
+     InvalidMatrix, "need at least 3 patients, got 2"),
+    (lambda path: io.read_covariate_wide(path, write(path.with_name("pos.tsv"), "1\n2\n")),
+     "patient\tq1\tq2\nP1\t1\t2\nP2\t3\t4\n", InvalidMatrix, "need at least 3 patients, got 2"),
 ], ids=[
     "annotation-header", "covariate-header", "segmentation-header", "regions-header",
     "truth-header", "segmentation-int", "regions-int", "regions-inf", "regions-short",
     "annotation-end", "annotation-short", "segmentation-cell-before-bounds",
-    "annotation-cell-before-duplicate",
+    "annotation-cell-before-duplicate", "truth-label-1", "truth-label-yes", "truth-label-H2",
+    "expression-two-patients", "covariate-wide-two-patients",
 ])
 def test_table_fault_named(tmp_path, reader, text, error, message):
     path = write(tmp_path / "f.tsv", text)

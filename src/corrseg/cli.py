@@ -310,8 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--transpose", action="store_true",
                            help="input has genes as rows, patients as columns")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--json", dest="json_out", action="store_true",
-                       help="also write JSON mirrors of tabular outputs")
 
     p_seg = sub.add_parser("segment", help="segment chromosomes into correlation blocks")
     add_common(p_seg, needs_input=True)
@@ -373,6 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_pow.add_argument("--rho0", type=float, default=0.15, help="background correlation")
     p_pow.add_argument("--alpha", dest="alpha_grid", default="0.05,0.005,0.0005",
                        help="comma list of significance levels")
+    for p in (p_seg, p_test, p_eval):
+        p.add_argument("--json", dest="json_out", action="store_true",
+                       help="also write JSON mirrors of tabular outputs")
     return parser
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:

@@ -3,7 +3,7 @@
 The segmentation cost of any gene block depends on the data only through
 the double sum of the empirical Gram matrix over that block. A 2-D prefix
 sum over G turns every such query into four lookups, which is what makes
-the O(K p^2) dynamic program practical.
+the O(K p^2) dynamic program practical: one (p+1)^2 float64 array, no p^2 temporaries.
 """
 
 from __future__ import annotations
@@ -80,14 +80,18 @@ def build_gram_prefix(matrix: ExpressionMatrix) -> np.ndarray:
 
     Returns the (p+1) x (p+1) array whose entry [a, b] is the sum of G
     over the leading a x b submatrix; `block_sums` reads any block sum
-    out of it. The matrix must be standardized.
+    out of it. The matrix must be standardized. One (p+1)^2 float64 array,
+    no p^2 temporaries: G and both cumsums are written into its interior.
     """
     if not matrix.standardized:
         raise NotStandardized("standardize the matrix before building Gram prefix sums")
     Y = matrix.values
-    G = (Y.T @ Y) / matrix.n
     prefix = np.zeros((matrix.p + 1, matrix.p + 1))
-    prefix[1:, 1:] = G.cumsum(axis=0).cumsum(axis=1)
+    G = prefix[1:, 1:]
+    np.matmul(Y.T, Y, out=G)
+    G /= matrix.n
+    np.cumsum(G, axis=0, out=G)
+    np.cumsum(G, axis=1, out=G)
     return prefix
 
 

@@ -93,6 +93,8 @@ class Segmentation:
         return list(zip(self.breakpoints[:-1], self.breakpoints[1:]))
 
 
+# Memory of one `_expression_dp` pass: 8*(p+1)^2 bytes for the Gram prefix
+# plus 16*k_max*p for D and B, with the tile's strips on top.
 def _dp_kernel(cost, m: int, k_max: int, min_seg_len: int) -> tuple[np.ndarray, np.ndarray]:
     """Optimal segmentations of m points into 1..k_max segments, one pass.
 
@@ -102,31 +104,33 @@ def _dp_kernel(cost, m: int, k_max: int, min_seg_len: int) -> tuple[np.ndarray, 
     TILE columns, and each tile's segment costs come from one cost call.
     D[k-1, b] = min cost of splitting points 0..b into k segments;
     B[k-1, b] = last point of the (k-1)-th segment at that optimum (ties
-    go to the lowest). Rows k <= K do not depend on k_max, so any K up
-    to k_max backtracks from the same B.
+    go to the lowest), defined only where D is finite. Rows k <= K do not
+    depend on k_max, so any K up to k_max backtracks from the same B.
     """
-    D = np.full((k_max, m), np.inf)
+    # E[k, s] = D[k, s - 1]; its +inf column 0 lets a segment start s index
+    # the row it extends, so each add reads whole contiguous rows
+    E = np.full((k_max, m + 1), np.inf)
     B = np.zeros((k_max, m), dtype=np.intp)
     for b0 in range(0, m, TILE):
         b1 = min(b0 + TILE, m)
         starts = np.arange(b1)[None, :]
         stops = np.arange(b0 + 1, b1 + 1)[:, None]
-        # c[b - b0, a] = cost of segment a..b inclusive
+        # c[b - b0, s] = cost of segment s..b inclusive
         c = np.where(stops - starts < max(1, min_seg_len), np.inf, cost(starts, stops))
-        D[0, b0:b1] = c[:, 0]
+        E[0, b0 + 1 : b1 + 1] = c[:, 0]
         # Row k of the tile needs row k-1 only at end points before b, so
         # each row is filled for the whole tile at once. At p = 2000, c and
         # M are 0.5 MB each and stay in a core's own cache.
-        M = np.empty((b1 - b0, b1 - 1))
+        M = np.empty_like(c)
         ends = np.arange(b1 - b0)
         for k in range(1, k_max):
-            # M[b - b0, t] = best k segments of 0..t, then segment t+1..b;
-            # t >= b leaves that segment empty, which c prices at +inf
-            np.add(c[:, 1:], D[k - 1, : b1 - 1], out=M)
-            t = M.argmin(axis=1)
-            D[k, b0:b1] = M[ends, t]
-            B[k, b0:b1] = t
-    return D, B
+            # M[b - b0, s] = best k segments of 0..s-1, then segment s..b;
+            # s = 0 and s > b are +inf, in E and in c
+            np.add(c, E[k - 1, :b1], out=M)
+            s = M.argmin(axis=1)
+            E[k, b0 + 1 : b1 + 1] = M[ends, s]
+            B[k, b0:b1] = s - 1
+    return E[:, 1:], B
 
 def _backtrack(B: np.ndarray, k: int, p: int) -> list[int]:
     """Recover breakpoints [0, ..., p] for the optimum with k segments."""

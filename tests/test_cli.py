@@ -648,3 +648,17 @@ def test_bad_choice_flag_exits_2(capsys, argv, flag):
         main(argv)
     assert exc.value.code == 2
     assert f"argument {flag}: invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--p", "150"],
+    ["correct", "--input", str(TOY_EXPR), "--covariate", "c.tsv"],
+    ["power", "--n", "10", "--p", "3", "--rho", "0.5", "--alpha", "0.05"],
+], ids=["simulate", "correct", "power"])
+def test_json_only_where_a_mirror_is_written(tmp_path, capsys, argv):
+    # these commands write no JSON mirror, so the flag is unknown to them
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--json", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from corrseg.core import ExpressionMatrix, block_sums, build_gram_prefix, standardize
 from corrseg.errors import (
@@ -51,6 +52,26 @@ def test_matrix_shape_contracts():
 def test_gram_prefix_requires_standardized(rng):
     with pytest.raises(NotStandardized):
         build_gram_prefix(as_matrix(rng.standard_normal((10, 4))))
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(3, 60),
+    p=st.integers(1, 300),
+    strength=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3, p=1, strength=0.0, seed=0)
+@example(n=5, p=2, strength=1.0, seed=1)
+def test_gram_prefix_bits_equal_out_of_place_cumsums(n, p, strength, seed):
+    # the prefix is built in place; its bits must equal the plain
+    # matmul-divide-cumsum-cumsum chain the recorded digests were made with
+    rng = np.random.default_rng(seed)
+    shared = rng.standard_normal((n, 1))
+    m = standardize(as_matrix(rng.standard_normal((n, p)) + strength * shared))
+    Y = m.values
+    ref = np.zeros((p + 1, p + 1))
+    ref[1:, 1:] = ((Y.T @ Y) / n).cumsum(axis=0).cumsum(axis=1)
+    assert np.array_equal(build_gram_prefix(m), ref)
 
 def test_block_sum_matches_brute_force(rng):
     m = standardize(as_matrix(rng.standard_normal((25, 18))))

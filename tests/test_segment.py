@@ -1,6 +1,7 @@
 """Segment costs, the segmentation DP, and segment-count selection."""
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -239,25 +240,43 @@ def reference_dp(C: np.ndarray, k_max: int, min_seg_len: int):
 
 @pytest.mark.parametrize("min_seg_len", [1, 3])
 def test_kernel_matches_reference_dp_across_tiles(min_seg_len):
-    # p spans several column tiles and ends inside one, so tile seams and
-    # a partial last tile are covered
+    # b + 1 segments of points 0..b are all singletons, so with 4 tiles and
+    # a partial fifth, rows up to past the second tile's last end point use
+    # the in-tile predecessor b - 1; one partial tile with k_max = p has
+    # rows that are infeasible at every end point once min_seg_len > 1
     rng = np.random.default_rng(17)
-    p = 4 * TILE + 45
-    m = std_for(blocked_matrix(30, p, [(20, 60), (120, 150)], 0.05, 0.7, rng))
-    C = cost_grid(m)
-    prefix = build_gram_prefix(m)
+    cases = [(4 * TILE + 45, 2 * TILE + 6, [(20, 60), (120, 150)]),
+             (TILE - 7, TILE - 7, [(5, 15)])]
+    for p, k_max, blocks in cases:
+        m = std_for(blocked_matrix(30, p, blocks, 0.05, 0.7, rng))
+        C = cost_grid(m)
+        prefix = build_gram_prefix(m)
 
-    def cost(starts, stops):
-        return _closed_form_cost(block_sums(prefix, starts, stops), stops - starts, m.n)
+        def cost(starts, stops):
+            return _closed_form_cost(block_sums(prefix, starts, stops), stops - starts, m.n)
 
-    # b + 1 segments of points 0..b are all singletons, so rows up to past
-    # the second tile's last end point use the in-tile predecessor t = b - 1
-    k_max = 2 * TILE + 6
-    D, B = _dp_kernel(cost, p, k_max, min_seg_len)
-    D_ref, B_ref = reference_dp(C, k_max, min_seg_len)
-    finite = np.isfinite(D_ref)
-    assert np.array_equal(D, D_ref)
-    assert np.array_equal(B[finite], B_ref[finite])
+        D, B = _dp_kernel(cost, p, k_max, min_seg_len)
+        D_ref, B_ref = reference_dp(C, k_max, min_seg_len)
+        finite = np.isfinite(D_ref)
+        assert np.array_equal(D, D_ref)
+        # B is defined only where D is finite
+        assert np.array_equal(B[finite], B_ref[finite])
+    assert finite[-1].any() == (min_seg_len == 1)
+
+def test_select_k_memory_stays_near_prefix_plus_tables():
+    # the prefix is built in place and the kernel copies no strips, so one
+    # pass holds about 8*(p+1)^2 bytes for the prefix plus 16*k_max*p for
+    # D and B (the formula beside `_dp_kernel`)
+    p = 1000
+    k_max = default_k_max(p)
+    m = std_for(blocked_matrix(58, p, [(100, 400)], 0.05, 0.7, np.random.default_rng(5)))
+    tracemalloc.start()
+    try:
+        select_k(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (8 * (p + 1) ** 2 + 16 * k_max * p)
 
 @pytest.mark.parametrize("min_seg_len", [1, 2])
 def test_selection_segments_from_the_same_pass(rng, monkeypatch, min_seg_len):

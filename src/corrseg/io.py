@@ -17,8 +17,9 @@ import json
 import math
 import re
 from array import array
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -35,22 +36,23 @@ _MISSING = {"", "na", "nan", "null", "none", "n/a"}
 def _delimiter(path: Path) -> str:
     return "," if path.suffix.lower() == ".csv" else "\t"
 
-def _read_rows(path: Path) -> tuple[list[list[str]], array]:
-    """Non-blank rows, and the line in the file where each one ends."""
-    # machine ints: a list of int objects costs 36 bytes a row, 1.9 MB on 52k covariate rows
-    rows, lines = [], array("l")
+def _read_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """Each non-blank row, as it is read, with the line in the file where it
+    ends. An unreadable, empty or non-UTF-8 file raises IngestionError."""
+    line = 0
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh, delimiter=_delimiter(path))
             for row in reader:
                 if row:
-                    rows.append(row)
-                    lines.append(reader.line_num)
+                    line = reader.line_num
+                    yield line, row
     except OSError as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
-    if not rows:
+    except UnicodeDecodeError:
+        raise IngestionError(f"{path}: not UTF-8 text after line {reader.line_num}") from None
+    if not line:
         raise IngestionError(f"{path}: empty file")
-    return rows, lines
 
 def _parse_float(field: str, where: str) -> float:
     text = field.strip()
@@ -88,31 +90,42 @@ def read_expression(path: str | Path, transpose: bool = False) -> ExpressionMatr
     (genes as rows, patients as columns) and reorients it.
     """
     path = Path(path)
-    rows, lines = _read_rows(path)
-    header, data = rows[0], rows[1:]
-    if not data:
+    rows = _read_rows(path)
+    _, header = next(rows)
+    label_words = {"", "patient", "patient_id", "sample", "id", "gene", "gene_id"}
+    labeled: bool | None = None
+    widths: set[int] = set()
+    row_ids: list[str] = []
+    data: list[np.ndarray] = []
+    fault: CorrsegError | None = None
+    for line, row in rows:
+        if labeled is None:
+            # rows carry a leading identifier when the header lists only the
+            # data columns or names the identifier column
+            labeled = len(row) == len(header) + 1 or header[0].strip().lower() in label_words
+        widths.add(len(row))
+        if fault or len(widths) > 1:
+            continue  # only widths now: a ragged row further down is named first
+        try:
+            data.append(_parse_floats(
+                row[1:] if labeled else row, lambda k: f"{path}: row {line}, column {k + 1}"
+            ))
+        except CorrsegError as exc:
+            fault = exc
+            continue
+        row_ids.append(row[0].strip() if labeled else f"R{len(data):03d}")
+    if not widths:
         raise IngestionError(f"{path}: no data rows below the header")
-    widths = {len(r) for r in data}
-    if len(widths) != 1:
+    if len(widths) > 1:
         raise IngestionError(f"{path}: ragged rows (widths {sorted(widths)})")
     width = widths.pop()
-    label_words = {"", "patient", "patient_id", "sample", "id", "gene", "gene_id"}
-    if width == len(header) + 1:
-        # header lists only the data columns; rows carry a leading identifier
-        labeled = True
-    elif width == len(header):
-        labeled = header[0].strip().lower() in label_words
-        if labeled:
-            header = header[1:]
-    else:
-        raise IngestionError(
-            f"{path}: header has {len(header)} fields but rows have {width}"
-        )
-    w = width - (1 if labeled else 0)
-    row_ids = [row[0].strip() if labeled else f"R{i + 1:03d}" for i, row in enumerate(data)]
-    cells = [field for row in data for field in (row[1:] if labeled else row)]
-    values = _parse_floats(cells, lambda k: f"{path}: row {lines[k // w + 1]}, column {k % w + 1}")
-    values = values.reshape(len(data), w)
+    if width not in (len(header), len(header) + 1):
+        raise IngestionError(f"{path}: header has {len(header)} fields but rows have {width}")
+    if fault:
+        raise fault
+    if labeled and width == len(header):
+        header = header[1:]
+    values = np.vstack(data)
     col_ids = [h.strip() for h in header]
     if transpose:
         values = values.T
@@ -134,9 +147,9 @@ _CHROMOSOME = ("chromosome", "chrom", "chr")
 @dataclass(frozen=True)
 class _Column:
     """A column of a small table: its header aliases (the first names it in
-    results and messages), how a cell parses (raising on a bad one; `float`
-    cells parse as one block), and the value every row reads when the
-    header lacks the column (None: the column is required)."""
+    results and messages), how a cell parses (raising on a bad one; a
+    `float` cell parses as `_parse_float` does), and the value every row
+    reads when the header lacks the column (None: the column is required)."""
 
     aliases: tuple[str, ...]
     parse: Callable[[str], object] = str.strip
@@ -176,44 +189,55 @@ def _read_table(
     The first short row or bad cell, in file order, raises error; a bad
     `float` cell raises as `_parse_float` does.
     """
-    rows, lines = _read_rows(path)
-    header = [field.strip().lower() for field in rows[0]]
+    rows = _read_rows(path)
+    first = next(rows)
+    header = [field.strip().lower() for field in first[1]]
     found: dict[str, int] = {}
     if not optional_header or header[0] in {a.lower() for c in columns for a in c.aliases}:
-        del rows[0], lines[0]
         for c in columns:
             hits = [header.index(a.lower()) for a in c.aliases if a.lower() in header]
             if hits:
                 found[c.name] = min(hits)
+    else:
+        rows = chain([first], rows)
     missing = [c for c in columns if c.default is None and c.name not in found]
     if missing:
         layout = max((f for f in fallbacks if len(f) <= len(header)), key=len, default=None)
         if layout is None:
             raise error(f"{path}: needs a {'/'.join(missing[0].aliases)} column")
         found = {name: j for j, name in enumerate(layout)}
-    used = [(c, found[c.name]) for c in columns if c.name in found]
-    try:
-        out = {
-            c.name: _parse_floats([row[j] for row in rows], lambda k: f"{path}: row {lines[k]}")
-            if c.parse is float else [c.parse(row[j]) for row in rows]
-            for c, j in used
-        }
-    except (LookupError, ValueError, CorrsegError):
-        need = max(j for _, j in used)
-        for row, line in zip(rows, lines):
-            where = f"{path}: row {line}"
-            if len(row) <= need:
-                raise error(f"{where}: too few fields") from None
-            for c, j in used:
-                if c.parse is float:
-                    _parse_float(row[j], where)
-                    continue
+    # per used column: where it sits, its values so far, and its parsed
+    # value by cell text, so a repeated cell is parsed and stored once
+    used = [
+        (c, found[c.name], array("d") if c.parse is float else [], {})
+        for c in columns if c.name in found
+    ]
+    need = max(j for _, j, _, _ in used)
+    lines = array("l")  # machine ints: int objects would cost 36 bytes a row
+    for line, row in rows:
+        if len(row) <= need:
+            raise error(f"{path}: row {line}: too few fields")
+        for c, j, values, parsed in used:
+            cell = row[j]
+            if c.parse is float:
                 try:
-                    c.parse(row[j])
-                except (LookupError, ValueError, CorrsegError):
-                    raise error(f"{where}: bad {c.name} {row[j].strip()!r}") from None
-        raise  # not reached: the per-cell rules reject what the block parse did
-    return {c.name: out[c.name] if c.name in out else [c.default] * len(rows) for c in columns}, lines
+                    value = float(cell)
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    value = _parse_float(cell, f"{path}: row {line}")
+            else:
+                value = parsed.get(cell)
+                if value is None:  # no parse returns None
+                    try:
+                        value = parsed[cell] = c.parse(cell)
+                    except (LookupError, ValueError, CorrsegError):
+                        raise error(f"{path}: row {line}: bad {c.name} {cell.strip()!r}") from None
+            values.append(value)
+        lines.append(line)
+    # np.frombuffer: a float column's array becomes its result, uncopied
+    out = {c.name: np.frombuffer(values) if c.parse is float else values for c, _, values, _ in used}
+    return {c.name: out[c.name] if c.name in out else [c.default] * len(lines) for c in columns}, lines
 
 
 def read_annotation(path: str | Path) -> dict[str, tuple[str, float, float | None]]:
@@ -258,7 +282,7 @@ def read_covariate_long(
     Returns chromosome -> patient -> (positions, values), positions sorted.
     Without a chromosome column every probe lands on chromosome 'all'.
     """
-    cols, _ = _read_table(
+    cols = _read_table(
         Path(path),
         (
             _Column(("patient", "patient_id", "sample")),
@@ -268,12 +292,20 @@ def read_covariate_long(
         ),
         fallbacks=(("patient", "position", "value"), ("patient", "chromosome", "position", "value")),
         error=IngestionError,
+    )[0]
+    # (chromosome, patient) -> group code, in order of first appearance; the
+    # string columns are popped so they are freed once coded
+    keys: dict[tuple[str, str], int] = {}
+    codes = np.fromiter(
+        (keys.setdefault(key, len(keys)) for key in zip(cols.pop("chromosome"), cols.pop("patient"))),
+        dtype=np.intp, count=len(cols["position"]),
     )
-    groups: dict[tuple[str, str], list[int]] = {}
-    for i, key in enumerate(zip(cols["chromosome"], cols["patient"])):
-        groups.setdefault(key, []).append(i)
+    # a stable sort keeps each group's rows in file order
+    rows = np.argsort(codes, kind="stable")
+    stops = np.cumsum(np.bincount(codes, minlength=len(keys))).tolist()
     out: dict[str, dict[str, tuple[np.ndarray, np.ndarray]]] = {}
-    for (chrom, patient), idx in groups.items():
+    for (chrom, patient), start, stop in zip(keys, [0, *stops], stops):
+        idx = rows[start:stop]
         pos, val = cols["position"][idx], cols["value"][idx]
         order = np.lexsort((val, pos))
         out.setdefault(chrom, {})[patient] = (pos[order], val[order])
@@ -402,7 +434,7 @@ def write_matrix(path: str | Path, matrix: ExpressionMatrix) -> None:
     write_rows(
         path,
         ["patient", *matrix.gene_ids],
-        ([pid, *row] for pid, row in zip(ids, matrix.values.tolist())),
+        ([pid, *row.tolist()] for pid, row in zip(ids, matrix.values)),
     )
 
 

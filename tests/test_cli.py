@@ -160,6 +160,13 @@ class TestSegmentCommand:
         assert code == 2
         assert f"{bad}: row 4, column 2: {message}\n" in capsys.readouterr().err
 
+    def test_non_utf8_input_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.tsv"
+        bad.write_bytes(b"patient\tg1\tg2\nP1\t1.0\t2.0\nP\xe9\t2.0\t3.0\nP3\t0.0\t1.0\n")
+        code = main(["segment", "--input", str(bad), "--out", str(tmp_path)])
+        assert code == 2
+        assert f"{bad}: not UTF-8 text after line 0\n" in capsys.readouterr().err
+
     def test_missing_input_path_exit_3(self, tmp_path):
         code = main(["segment", "--input", str(tmp_path / "nope.tsv"),
                      "--out", str(tmp_path)])
@@ -421,6 +428,16 @@ class TestCorrectCommand:
         ])
         assert code == 2
         assert f"{cov}: row {len(lines)}: {message}\n" in capsys.readouterr().err
+
+    def test_non_utf8_covariate_exit_2(self, tmp_path, capsys):
+        expr, ann, cov, _, _ = self._toy_inputs(tmp_path)
+        cov.write_bytes(cov.read_bytes().replace(b"P2", b"P\xff", 1))
+        code = main([
+            "correct", "--input", str(expr), "--annotation", str(ann),
+            "--covariate", str(cov), "--out", str(tmp_path),
+        ])
+        assert code == 2
+        assert f"{cov}: not UTF-8 text after line 0\n" in capsys.readouterr().err
 
     def test_covariate_row_without_chromosome_exit_2(self, tmp_path, capsys):
         expr, ann, _, _, _ = self._toy_inputs(tmp_path)

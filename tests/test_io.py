@@ -1,6 +1,7 @@
 """File formats: expression, annotation, covariate, segmentation, regions."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,36 @@ def test_read_expression_names_first_bad_cell_in_file_order(tmp_path):
     p = write(tmp_path / "e.tsv", "g1\tg2\tg3\n1\t2\t3\n4\t5\tNA\nx\t8\t9\n")
     with pytest.raises(MissingValues, match=r"row 3, column 3: missing value$"):
         io.read_expression(p)
+
+
+def _traced_peak(read, *args):
+    """read(*args) and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        return read(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+def test_read_expression_memory_stays_near_the_matrix(tmp_path, rng):
+    # the chain benchmark's 58 x 2500 matrix; holding every cell as a
+    # string costs about 12x the parsed matrix
+    io.write_matrix(tmp_path / "e.tsv", as_matrix(rng.standard_normal((58, 2500))))
+    matrix, peak = _traced_peak(io.read_expression, tmp_path / "e.tsv")
+    assert peak < 4 * matrix.values.nbytes
+
+def test_read_covariate_long_memory_stays_near_its_arrays(tmp_path, rng):
+    # the correct-cnv benchmark's 58 patients x 2 chromosomes x 450 probes
+    rows = (
+        [f"P{i:03d}", chrom, 1000 + 666 * k, v]
+        for chrom in ("chr1", "chr2")
+        for i in range(58)
+        for k, v in enumerate(rng.standard_normal(450).tolist())
+    )
+    io.write_rows(tmp_path / "c.tsv", ["patient", "chromosome", "position", "value"], rows)
+    cov, peak = _traced_peak(io.read_covariate_long, tmp_path / "c.tsv")
+    arrays = sum(pos.nbytes + val.nbytes for series in cov.values() for pos, val in series.values())
+    assert arrays == 58 * 2 * 450 * 16
+    assert peak < 4 * arrays
 
 
 # ------------------------------------------------------------- annotation
@@ -419,12 +450,17 @@ def test_row_numbers_count_blank_lines(tmp_path, reader, text, error, message):
      InvalidMatrix, "need at least 3 patients, got 2"),
     (lambda path: io.read_covariate_wide(path, write(path.with_name("pos.tsv"), "1\n2\n")),
      "patient\tq1\tq2\nP1\t1\t2\nP2\t3\t4\n", InvalidMatrix, "need at least 3 patients, got 2"),
+    # a whole-file fault of the matrix is named before a bad cell above it
+    (io.read_expression, "g1\tg2\n1\tx\n3\t4\n5\n", IngestionError, "ragged rows (widths [1, 2])"),
+    (io.read_expression, "g1\tg2\tg3\tg4\n1\tx\n3\t4\n5\t6\n",
+     IngestionError, "header has 4 fields but rows have 2"),
 ], ids=[
     "annotation-header", "covariate-header", "segmentation-header", "regions-header",
     "truth-header", "segmentation-int", "regions-int", "regions-inf", "regions-short",
     "annotation-end", "annotation-short", "segmentation-cell-before-bounds",
     "annotation-cell-before-duplicate", "truth-label-1", "truth-label-yes", "truth-label-H2",
     "expression-two-patients", "covariate-wide-two-patients",
+    "expression-ragged-below-bad-cell", "expression-header-above-bad-cell",
 ])
 def test_table_fault_named(tmp_path, reader, text, error, message):
     path = write(tmp_path / "f.tsv", text)

@@ -24,12 +24,12 @@ from .pipeline import (
     correct_view,
     match_patients,
     segment_all,
-    segmentation_from_bounds,
     segmentation_rows,
     split_by_chromosome,
     test_all,
 )
-from .core import standardize
+from .core import build_gram_prefix, standardize
+from .segment import segmentation_from_breakpoints
 from .significance import power
 from .simulate import (
     ChromosomeSpec,
@@ -134,10 +134,14 @@ def cmd_test(config: RunConfig) -> int:
     results = []
     for view in views:
         std = standardize(view.matrix)
-        try:
-            seg = segmentation_from_bounds(std, bounds_by_chrom[view.name])
-        except ValidationError as exc:
-            raise ValidationError(f"chromosome {view.name!r}: {exc}") from exc
+        bounds = bounds_by_chrom[view.name]
+        bps = [bounds[0][0]] + [b for _, b in bounds]
+        if bps[0] != 0 or bps[-1] != std.p:
+            raise ValidationError(
+                f"chromosome {view.name!r}: segmentation covers genes "
+                f"{bps[0] + 1}-{bps[-1]}, expected 1-{std.p}"
+            )
+        seg = segmentation_from_breakpoints(build_gram_prefix(std), std.n, bps)
         results.append(ChromosomeResult(view.name, std, seg, trace=None))
     reports = test_all(results, rho0=config.rho0, adjust=config.adjust, alpha=config.alpha)
     out = _outdir(config)

@@ -44,17 +44,11 @@ class PatientFit:
 
     def fitted(self) -> np.ndarray:
         """Fitted value for every probe."""
-        out = np.empty(len(self.values))
-        for k, (a, b) in enumerate(zip(self.breakpoints[:-1], self.breakpoints[1:])):
-            out[a:b] = self.means[k]
-        return out
+        return np.asarray(self.means)[self.segment_of_probe()]
 
     def segment_of_probe(self) -> np.ndarray:
         """Segment index of every probe."""
-        out = np.empty(len(self.values), dtype=np.intp)
-        for k, (a, b) in enumerate(zip(self.breakpoints[:-1], self.breakpoints[1:])):
-            out[a:b] = k
-        return out
+        return np.repeat(np.arange(len(self.means)), np.diff(self.breakpoints))
 
 
 def _rss_cost(values: np.ndarray):
@@ -95,7 +89,7 @@ def _fit_one_series(
         D, B = _dp_kernel(cost, t, km, 1)
         # Gaussian profile log-likelihood of the best K-segment fit
         L = -(t / 2.0) * np.log(np.maximum(D[:, -1], LOG_EPS) / t)
-        Kt = np.atleast_1d(np.asarray(penalty(np.arange(1, km + 1), t), dtype=float))
+        Kt = penalty(np.arange(1, km + 1), t)
         k, _, _ = slope_change_choice(L, Kt, S, "largest")
     bps = _backtrack(B, k, t)
     means = tuple(float(values[a:b].mean()) for a, b in zip(bps[:-1], bps[1:]))
@@ -170,12 +164,16 @@ def align_to_genes(
         probe_seg = fit.segment_of_probe()
         first = np.searchsorted(fit.positions, lo, side="left")
         last = np.searchsorted(fit.positions, hi, side="right")
-        for j in range(p):
-            a, b = first[j], last[j]
-            if b > a:
-                touched = np.unique(probe_seg[a:b])
-                x[i, j] = float(seg_means[touched].mean())
-                provenance[i, j] = "single-probe" if b - a == 1 else "averaged"
+        # probes are sorted and segments contiguous, so the probes of a gene
+        # touch exactly the segments s0..s1
+        hit = np.flatnonzero(last > first)
+        s0 = probe_seg[first[hit]]
+        s1 = probe_seg[last[hit] - 1]
+        x[i, hit] = seg_means[s0]
+        multi = s1 > s0
+        for j, a, b in zip(hit[multi], s0[multi], s1[multi]):
+            x[i, j] = seg_means[a : b + 1].mean()
+        provenance[i, hit] = np.where(last[hit] - first[hit] == 1, "single-probe", "averaged")
         filled = np.flatnonzero(~np.isnan(x[i]))
         if filled.size == 0:
             # no gene captured a probe; fall back to the probe-level fit

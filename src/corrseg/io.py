@@ -51,6 +51,8 @@ def _read_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError:
         raise IngestionError(f"{path}: not UTF-8 text after line {reader.line_num}") from None
+    except csv.Error as exc:
+        raise IngestionError(f"{path}: row {reader.line_num}: {exc}") from None
     if not line:
         raise IngestionError(f"{path}: empty file")
 

@@ -11,16 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExpressionMatrix, build_gram_prefix, standardize
+from .core import ExpressionMatrix, standardize
 from .correction import align_to_genes, correct_expression, segment_covariate
 from .errors import KTooLarge, PatientMismatch, ValidationError
 from .io import natural_key
-from .segment import (
-    Segmentation,
-    SelectionTrace,
-    segmentation_from_breakpoints,
-    select_k,
-)
+from .segment import Segmentation, SelectionTrace, select_k
 from .significance import RegionReport, apply_adjustment, test_regions
 
 
@@ -148,20 +143,6 @@ def segmentation_rows(results: list[ChromosomeResult]) -> list[dict]:
                 }
             )
     return rows
-
-
-def segmentation_from_bounds(
-    std: ExpressionMatrix, bounds: list[tuple[int, int]]
-) -> Segmentation:
-    """Rebuild a Segmentation (with rho estimates) from half-open bounds."""
-    if not bounds:
-        raise ValidationError("empty segmentation")
-    bps = [bounds[0][0]] + [b for _, b in bounds]
-    if bps[0] != 0 or bps[-1] != std.p:
-        raise ValidationError(
-            f"segmentation covers genes {bps[0] + 1}-{bps[-1]}, expected 1-{std.p}"
-        )
-    return segmentation_from_breakpoints(build_gram_prefix(std), std.n, bps)
 
 
 def test_all(

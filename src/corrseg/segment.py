@@ -218,11 +218,10 @@ class SelectionTrace:
     degenerate: bool = False
 
 
-def penalty(K: np.ndarray | int, p: int) -> np.ndarray | float:
+def penalty(K: np.ndarray | int, p: int) -> np.ndarray:
     """Segmentation penalty 5K + 2K log(p / K)."""
     K = np.asarray(K, dtype=float)
-    out = 5.0 * K + 2.0 * K * np.log(p / K)
-    return float(out) if out.ndim == 0 else out
+    return 5.0 * K + 2.0 * K * np.log(p / K)
 
 def slope_change_choice(
     L: np.ndarray, Ktilde: np.ndarray, S: float, rule: str = "largest"
@@ -279,7 +278,6 @@ def select_k(
     prefix, D, B = _expression_dp(std, k_max, min_seg_len)
     L = -0.5 * D[:, -1]
     Kt = penalty(np.arange(1, k_max + 1), p)
-    Kt = np.atleast_1d(np.asarray(Kt, dtype=float))
     chosen, d, degenerate = slope_change_choice(L, Kt, S, rule)
     if degenerate:
         warnings.warn(

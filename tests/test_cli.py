@@ -160,6 +160,15 @@ class TestSegmentCommand:
         assert code == 2
         assert f"{bad}: row 4, column 2: {message}\n" in capsys.readouterr().err
 
+    def test_overlong_cell_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "long.tsv"
+        bad.write_text(f"patient\tg1\tg2\nP1\t1.0\t2.0\nP2\t{'1' * 140_000}\t3.0\n"
+                       "P3\t0.0\t1.0\n")
+        code = main(["segment", "--input", str(bad), "--out", str(tmp_path)])
+        assert code == 2
+        assert (f"{bad}: row 3: field larger than field limit (131072)\n"
+                in capsys.readouterr().err)
+
     def test_non_utf8_input_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "latin1.tsv"
         bad.write_bytes(b"patient\tg1\tg2\nP1\t1.0\t2.0\nP\xe9\t2.0\t3.0\nP3\t0.0\t1.0\n")
@@ -294,6 +303,15 @@ class TestTestCommand:
         ])
         assert code == 3
         assert ("chromosome 'chr1': segmentation covers genes 1-50, expected 1-60\n"
+                in capsys.readouterr().err)
+        io.write_rows(tmp_path / "late.tsv", ["chromosome", "start", "end"],
+                      [["chr1", 2, 20], ["chr1", 21, 60]])
+        code = main([
+            "test", "--input", str(TOY_EXPR), "--annotation", str(TOY_ANN),
+            "--segmentation", str(tmp_path / "late.tsv"), "--out", str(tmp_path),
+        ])
+        assert code == 3
+        assert ("chromosome 'chr1': segmentation covers genes 2-60, expected 1-60\n"
                 in capsys.readouterr().err)
 
     def test_null_fixture_calibration(self, tmp_path):

@@ -139,6 +139,14 @@ def test_estimate_rho0_exchangeable():
     assert 0.13 <= np.mean(vals) <= 0.23
     assert min(vals) >= 0.10 and max(vals) <= 0.26
 
+@pytest.mark.parametrize("p", [2, 3, 40, 41])
+def test_estimate_rho0_is_numpy_median_bits(rng, p):
+    m = as_matrix(rng.standard_normal((20, p)))
+    Y = m.values - m.values.mean(axis=0)
+    sd = np.sqrt((Y * Y).mean(axis=0))
+    r = (Y[:, :-1] * Y[:, 1:]).mean(axis=0) / (sd[:-1] * sd[1:])
+    assert estimate_rho0(m) == float(abs(np.median(r)))
+
 def test_estimate_rho0_duplicated_columns():
     rng = np.random.default_rng(5)
     col = rng.standard_normal(30)
@@ -249,6 +257,11 @@ def test_single_gene_chromosome_untested(rng):
     assert not r.tested
     assert (r.start, r.end, r.p_k) == (1, 1, 1)
     assert np.isnan(r.p_value)
+    # a given background does not make a single gene testable
+    (r,) = regions_for(m, seg, chromosome="chrY", rho0=0.3)
+    assert not r.tested
+    assert r.rho_hat == 0.0
+    assert np.isnan(r.rho0_used) and np.isnan(r.lambda0) and np.isnan(r.p_value)
 
 def test_apply_adjustment_family(rng):
     vals = blocked_matrix(58, 40, [(10, 25)], 0.0, 0.8, rng)

@@ -100,13 +100,16 @@ def _outdir(config: RunConfig) -> Path:
     return out
 
 def _load_views(config: RunConfig):
+    """The input matrix and its chromosome views. With an annotation the
+    views are copies, so a command that reads only the views drops the
+    matrix rather than keep it alive through every chromosome."""
     matrix = io.read_expression(config.input, transpose=config.transpose)
     annotation = io.read_annotation(config.annotation) if config.annotation else None
     return matrix, split_by_chromosome(matrix, annotation)
 
 
 def cmd_segment(config: RunConfig) -> int:
-    _, views = _load_views(config)
+    views = _load_views(config)[1]
     results = segment_all(
         views, S=config.S, k_max=config.kmax, rule=config.rule, min_seg_len=config.min_seg
     )
@@ -122,7 +125,7 @@ def cmd_segment(config: RunConfig) -> int:
 
 
 def cmd_test(config: RunConfig) -> int:
-    _, views = _load_views(config)
+    views = _load_views(config)[1]
     bounds_by_chrom = io.read_segmentation(config.segmentation)
     known = {v.name for v in views}
     unknown = sorted(set(bounds_by_chrom) - known)

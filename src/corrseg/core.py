@@ -95,13 +95,17 @@ def build_gram_prefix(matrix: ExpressionMatrix) -> np.ndarray:
     return prefix
 
 
-def block_sums(prefix: np.ndarray, starts, stops) -> np.ndarray:
+def block_sums(prefix: np.ndarray, starts, stops, out: np.ndarray | None = None) -> np.ndarray:
     """Sum of G_jk over j, k in [start, stop), half-open 0-based.
 
     ``starts`` and ``stops`` are integer arrays that broadcast against
     each other, so one call serves a list of segments or the whole grid.
-    Each sum is four prefix entries combined by inclusion-exclusion.
+    Each sum is four prefix entries combined by inclusion-exclusion,
+    ((A - B) - C) + D, accumulated in ``out`` when it is given.
     Bounds are not checked; callers derive them from p themselves.
     """
     P = prefix
-    return P[stops, stops] - P[starts, stops] - P[stops, starts] + P[starts, starts]
+    out = np.subtract(P[stops, stops], P[starts, stops], out=out)
+    out -= P[stops, starts]
+    out += P[starts, starts]
+    return out

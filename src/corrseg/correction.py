@@ -19,8 +19,10 @@ from .core import ExpressionMatrix
 from .errors import DegenerateCovariateWarning, NoProbesOnChromosome, TooFewProbes
 from .segment import (
     LOG_EPS,
+    TILE,
     _backtrack,
     _dp_kernel,
+    _tile_views,
     default_k_max,
     penalty,
     slope_change_choice,
@@ -52,17 +54,27 @@ class PatientFit:
 
 
 def _rss_cost(values: np.ndarray):
-    """cost(starts, stops) for the kernel: within-segment residual sum of squares."""
+    """cost(starts, stops) for the kernel: within-segment residual sum of squares.
+
+    Every call writes into the same three tile buffers, so the cost of one
+    tile is valid until the next call.
+    """
     cs = np.concatenate(([0.0], np.cumsum(values)))
     cs2 = np.concatenate(([0.0], np.cumsum(values * values)))
+    scratch = np.empty((3, TILE * len(values)))
 
     def cost(starts, stops):
-        length = stops - starts
-        seg_sum = cs[stops] - cs[starts]
-        seg_sq = cs2[stops] - cs2[starts]
+        seg_sum, seg_sq, length = _tile_views(scratch, (stops.size, starts.size))
+        np.subtract(cs[stops], cs[starts], out=seg_sum)
+        np.subtract(cs2[stops], cs2[starts], out=seg_sq)
+        np.subtract(stops, starts, out=length)
         with np.errstate(invalid="ignore", divide="ignore"):
-            rss = seg_sq - seg_sum * seg_sum / np.maximum(length, 1)
-        return np.maximum(rss, 0.0)  # guard tiny negative round-off
+            # rss = seg_sq - seg_sum * seg_sum / max(length, 1)
+            np.maximum(length, 1, out=length)
+            np.multiply(seg_sum, seg_sum, out=seg_sum)
+            np.divide(seg_sum, length, out=seg_sum)
+            np.subtract(seg_sq, seg_sum, out=seg_sq)
+        return np.maximum(seg_sq, 0.0, out=seg_sq)  # guard tiny negative round-off
 
     return cost
 

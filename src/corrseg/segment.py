@@ -40,22 +40,48 @@ def rho_hat(block_sum: float, p_k: int) -> float:
     return float(min(max(raw, lo), hi))
 
 
-def _closed_form_cost(S: np.ndarray, L: np.ndarray, n: int) -> np.ndarray:
+def _closed_form_cost(S: np.ndarray, L: np.ndarray, n: int, work=None) -> np.ndarray:
     """Closed-form -2 * max log-likelihood of segments of L genes, block sum S.
 
     For L >= 2 the cost is
     n * [L + (L-1) log((L^2 - S)/(L^2 - L)) + log(S / L)], and
     n * (1 + log S) for singletons. Log arguments are floored at 1e-12
     so empirically singular blocks yield finite (strongly negative) costs
-    instead of NaN. S and L broadcast elementwise.
+    instead of NaN. S is a float64 array and L a length array of its
+    shape. The costs overwrite S, which is returned; work is two scratch
+    arrays of S's shape, allocated when not given.
     """
-    den = np.maximum(L * L - L, 1)
+    T, A = np.empty((2, *S.shape)) if work is None else work
+    single = L == 1
     with np.errstate(invalid="ignore"):
-        r1 = np.clip((L * L - S) / den, LOG_EPS, None)
-        r2 = np.clip(S / np.maximum(L, 1), LOG_EPS, None)
-        cost = n * (L + (L - 1) * np.log(r1) + np.log(r2))
-        single = n * (1.0 + np.log(np.clip(S, LOG_EPS, None)))
-    return np.where(L == 1, single, cost)
+        S_single = n * (1.0 + np.log(np.maximum(S[single], LOG_EPS)))
+        # T = log r2, r2 = S / L
+        np.maximum(L, 1, out=T)
+        np.divide(S, T, out=T)
+        np.maximum(T, LOG_EPS, out=T)
+        np.log(T, out=T)
+        # S = log r1, r1 = (L^2 - S) / (L^2 - L)
+        np.multiply(L, L, out=A)
+        np.subtract(A, S, out=S)
+        np.subtract(A, L, out=A)
+        np.maximum(A, 1, out=A)
+        np.divide(S, A, out=S)
+        np.maximum(S, LOG_EPS, out=S)
+        np.log(S, out=S)
+        # S = n * (L + (L-1) log r1 + log r2)
+        np.subtract(L, 1, out=A)
+        np.multiply(A, S, out=S)
+        np.add(L, S, out=S)
+        np.add(S, T, out=S)
+        np.multiply(S, n, out=S)
+    S[single] = S_single
+    return S
+
+
+def _tile_views(scratch: np.ndarray, shape: tuple[int, int]) -> list[np.ndarray]:
+    """One C-contiguous array of `shape` at the front of each row of scratch."""
+    size = shape[0] * shape[1]
+    return [row[:size].reshape(shape) for row in scratch]
 
 
 @dataclass(frozen=True)
@@ -93,36 +119,47 @@ class Segmentation:
         return list(zip(self.breakpoints[:-1], self.breakpoints[1:]))
 
 
-# Memory of one `_expression_dp` pass: 8*(p+1)^2 bytes for the Gram prefix
-# plus 16*k_max*p for D and B, with the tile's strips on top.
+# Memory of one `_expression_dp` pass, in bytes: 8*(p+1)^2 for the Gram
+# prefix, 8*k_max*(p+1) for E (D) and 4*k_max*p for the int32 B, plus a few
+# tile buffers of 8*TILE*p each, allocated once per pass: M here and four in
+# the cost closure, with one transient gather inside `block_sums`.
 def _dp_kernel(cost, m: int, k_max: int, min_seg_len: int) -> tuple[np.ndarray, np.ndarray]:
     """Optimal segmentations of m points into 1..k_max segments, one pass.
 
     cost(starts, stops) returns the cost of the half-open segments
-    [start, stop), broadcasting its integer arguments; segments shorter
-    than min_seg_len cost +inf. The end point b is walked in tiles of
-    TILE columns, and each tile's segment costs come from one cost call.
+    [start, stop), broadcasting its integer arguments; the kernel may
+    overwrite the array it returns. Segments shorter than min_seg_len
+    cost +inf. The end point b is walked in tiles of TILE columns, and
+    each tile's segment costs come from one cost call.
     D[k-1, b] = min cost of splitting points 0..b into k segments;
     B[k-1, b] = last point of the (k-1)-th segment at that optimum (ties
     go to the lowest), defined only where D is finite. Rows k <= K do not
     depend on k_max, so any K up to k_max backtracks from the same B.
     """
+    msl = max(1, min_seg_len)
     # E[k, s] = D[k, s - 1]; its +inf column 0 lets a segment start s index
     # the row it extends, so each add reads whole contiguous rows
     E = np.full((k_max, m + 1), np.inf)
-    B = np.zeros((k_max, m), dtype=np.intp)
+    B = np.zeros((k_max, m), dtype=np.int32)
+    M_flat = np.empty(TILE * m)
+    # short[r, j]: the segment from s = b0 + 1 - msl + j to end point b0 + r
+    # has fewer than msl points
+    short = ~np.tri(TILE, TILE + msl - 1, dtype=bool)
     for b0 in range(0, m, TILE):
         b1 = min(b0 + TILE, m)
-        starts = np.arange(b1)[None, :]
-        stops = np.arange(b0 + 1, b1 + 1)[:, None]
+        w = b1 - b0
         # c[b - b0, s] = cost of segment s..b inclusive
-        c = np.where(stops - starts < max(1, min_seg_len), np.inf, cost(starts, stops))
+        c = cost(np.arange(b1)[None, :], np.arange(b0 + 1, b1 + 1)[:, None])
+        s0 = b0 + 1 - msl
+        lo = max(s0, 0)
+        np.copyto(c[:, lo:], np.inf, where=short[:w, lo - s0 : w + msl - 1])
         E[0, b0 + 1 : b1 + 1] = c[:, 0]
         # Row k of the tile needs row k-1 only at end points before b, so
         # each row is filled for the whole tile at once. At p = 2000, c and
-        # M are 0.5 MB each and stay in a core's own cache.
-        M = np.empty_like(c)
-        ends = np.arange(b1 - b0)
+        # M are 0.5 MB each and stay in a core's own cache. M is the front of
+        # one flat buffer, C-contiguous, so argmin(axis=1) reads it uncopied.
+        M = M_flat[: c.size].reshape(c.shape)
+        ends = np.arange(w)
         for k in range(1, k_max):
             # M[b - b0, s] = best k segments of 0..s-1, then segment s..b;
             # s = 0 and s > b are +inf, in E and in c
@@ -157,10 +194,10 @@ def segmentation_from_breakpoints(
     stops = np.array(bps[1:])
     S = block_sums(prefix, starts, stops)
     lengths = stops - starts
-    seg_ll = tuple(-0.5 * float(c) for c in _closed_form_cost(S, lengths, n))
     rho = tuple(
         0.0 if p_k == 1 else rho_hat(float(s), int(p_k)) for s, p_k in zip(S, lengths)
     )
+    seg_ll = tuple(-0.5 * float(c) for c in _closed_form_cost(S, lengths, n))
     return Segmentation(
         breakpoints=bps,
         rho=rho,
@@ -172,9 +209,13 @@ def _expression_dp(std: ExpressionMatrix, k_max: int, min_seg_len: int):
     """Gram prefix plus the kernel's D and B under the closed-form cost."""
     prefix = build_gram_prefix(std)
     n = std.n
+    # the tile's block sums (then costs), lengths and two work arrays
+    scratch = np.empty((4, TILE * std.p))
 
     def cost(starts, stops):
-        return _closed_form_cost(block_sums(prefix, starts, stops), stops - starts, n)
+        S, L, *work = _tile_views(scratch, (stops.size, starts.size))
+        np.subtract(stops, starts, out=L)
+        return _closed_form_cost(block_sums(prefix, starts, stops, out=S), L, n, work)
 
     return (prefix, *_dp_kernel(cost, std.p, k_max, min_seg_len))
 

@@ -20,7 +20,7 @@ from corrseg.errors import (
     NoProbesOnChromosome,
     TooFewProbes,
 )
-from corrseg.segment import _dp_kernel, rho_hat
+from corrseg.segment import TILE, _dp_kernel, rho_hat
 from corrseg.significance import estimate_rho0
 from conftest import as_matrix, blocked_matrix
 
@@ -99,6 +99,33 @@ def test_covariate_dp_equals_enumeration():
             fit = segment_covariate(track_for({"P1": vals}), fixed_k=k)[0]
             assert len(fit.breakpoints) == k + 1
             assert rss_of(vals, fit.breakpoints) == pytest.approx(best, abs=1e-9)
+
+def reference_rss(values, starts, stops):
+    """Reference RSS cost: the same operations as plain out-of-place expressions."""
+    cs = np.concatenate(([0.0], np.cumsum(values)))
+    cs2 = np.concatenate(([0.0], np.cumsum(values * values)))
+    length = stops - starts
+    seg_sum = cs[stops] - cs[starts]
+    seg_sq = cs2[stops] - cs2[starts]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rss = seg_sq - seg_sum * seg_sum / np.maximum(length, 1)
+    return rss, np.maximum(rss, 0.0)
+
+def test_in_place_rss_cost_equals_out_of_place_expression(rng):
+    # the kernel's tiles, including the empty segments past each end point;
+    # a large offset makes round-off drive some RSS below 0, so the guard acts
+    t = 3 * TILE + 5
+    negative = False
+    for values in (rng.standard_normal(t), 1e8 + rng.integers(0, 3, t) * 1e-4):
+        cost = _rss_cost(values)
+        for b0 in range(0, t, TILE):
+            b1 = min(b0 + TILE, t)
+            starts = np.arange(b1)[None, :]
+            stops = np.arange(b0 + 1, b1 + 1)[:, None]
+            rss, expected = reference_rss(values, starts, stops)
+            negative |= bool((rss < 0).any())
+            assert np.array_equal(cost(starts, stops), expected)
+    assert negative
 
 def test_unsorted_positions_are_sorted():
     pos = np.array([30.0, 10.0, 20.0])

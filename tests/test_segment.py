@@ -12,6 +12,7 @@ from corrseg import segment
 from corrseg.errors import DegenerateNormalizationWarning, KTooLarge
 from corrseg.pipeline import segment_chromosome
 from corrseg.segment import (
+    LOG_EPS,
     TILE,
     _closed_form_cost,
     _dp_kernel,
@@ -68,6 +69,34 @@ def test_cost_matches_rho_form(rng):
         r = rho_hat(block_sums(prefix, a, b + 1), ell)
         direct = n * (ell + (ell - 1) * np.log(1 - r) + np.log(1 + (ell - 1) * r))
         assert C[a, b + 1] == pytest.approx(direct, abs=1e-9)
+
+def reference_closed_form_cost(S, L, n):
+    """Reference closed-form cost: the same operations as one out-of-place expression."""
+    den = np.maximum(L * L - L, 1)
+    with np.errstate(invalid="ignore"):
+        r1 = np.clip((L * L - S) / den, LOG_EPS, None)
+        r2 = np.clip(S / np.maximum(L, 1), LOG_EPS, None)
+        cost = n * (L + (L - 1) * np.log(r1) + np.log(r2))
+        single = n * (1.0 + np.log(np.clip(S, LOG_EPS, None)))
+    return np.where(L == 1, single, cost)
+
+@pytest.mark.parametrize("length_dtype", [np.intp, float])
+def test_in_place_cost_equals_out_of_place_expression(rng, length_dtype):
+    # singletons and longer segments, with block sums at or below 0 (the
+    # log S / L floor) and at or above L^2 (the log (L^2 - S) floor)
+    lengths = np.arange(1, 41)
+    frac = np.concatenate(([-0.5, 0.0, 1e-15, 1.0, 1.0 + 1e-15, 2.0], rng.uniform(-0.1, 1.1, 58)))
+    L = np.repeat(lengths, frac.size).reshape(lengths.size, frac.size)
+    S = L * L * frac[None, :]
+    expected = reference_closed_form_cost(S, L, 58)
+    assert (S[L == 1] <= 0).any() and (S[L > 1] <= 0).any() and (S >= L * L).any()
+    L = L.astype(length_dtype)
+    S_in = S.copy()
+    assert np.array_equal(_closed_form_cost(S_in, L, 58), expected)
+    # the costs overwrite S, through given work arrays as well
+    assert np.array_equal(S_in, expected)
+    work = np.full((2, *S.shape), np.nan)
+    assert np.array_equal(_closed_form_cost(S.copy(), L, 58, work), expected)
 
 def test_rho_hat_endpoints():
     # S = ell means zero average off-diagonal correlation
@@ -264,9 +293,8 @@ def test_kernel_matches_reference_dp_across_tiles(min_seg_len):
     assert finite[-1].any() == (min_seg_len == 1)
 
 def test_select_k_memory_stays_near_prefix_plus_tables():
-    # the prefix is built in place and the kernel copies no strips, so one
-    # pass holds about 8*(p+1)^2 bytes for the prefix plus 16*k_max*p for
-    # D and B (the formula beside `_dp_kernel`)
+    # the formula beside `_dp_kernel`: the prefix, E (float64) and B (int32),
+    # plus at most eight tile buffers of 8*TILE*p bytes for one pass
     p = 1000
     k_max = default_k_max(p)
     m = std_for(blocked_matrix(58, p, [(100, 400)], 0.05, 0.7, np.random.default_rng(5)))
@@ -276,7 +304,8 @@ def test_select_k_memory_stays_near_prefix_plus_tables():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * (8 * (p + 1) ** 2 + 16 * k_max * p)
+    tables = 8 * (p + 1) ** 2 + 8 * k_max * (p + 1) + 4 * k_max * p
+    assert peak <= tables + 8 * (8 * TILE * p)
 
 @pytest.mark.parametrize("min_seg_len", [1, 2])
 def test_selection_segments_from_the_same_pass(rng, monkeypatch, min_seg_len):

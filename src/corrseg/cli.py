@@ -22,7 +22,6 @@ from .errors import IngestionError, ValidationError
 from .pipeline import (
     ChromosomeResult,
     correct_view,
-    match_patients,
     segment_all,
     segmentation_rows,
     split_by_chromosome,
@@ -74,8 +73,10 @@ class RunConfig:
     out: str = "."
 
     def validate(self) -> None:
-        if self.S <= 0:
-            raise ValidationError(f"--S must be positive, got {self.S}")
+        if not (np.isfinite(self.S) and self.S > 0):
+            raise ValidationError(f"--S must be finite and positive, got {self.S}")
+        if not (np.isfinite(self.half_width) and self.half_width >= 0):
+            raise ValidationError(f"--half-width must be finite and >= 0, got {self.half_width}")
         if not 0 < self.alpha < 1:
             raise ValidationError(f"--alpha must lie in (0, 1), got {self.alpha}")
         if self.kmax is not None and self.kmax < 1:
@@ -169,11 +170,9 @@ def cmd_correct(config: RunConfig) -> int:
     corrected_values = np.array(matrix.values, copy=True)
     sidecar = {}
     for view in views:
-        tracks = covariate[view.name]
-        match_patients(view.matrix, set(tracks))
         corrected, info = correct_view(
             view,
-            tracks,
+            covariate[view.name],
             mode=config.mode,
             S=config.S,
             k_max=config.kmax,

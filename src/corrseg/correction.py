@@ -2,10 +2,11 @@
 
 A positioned covariate (copy number, typically) can induce local
 correlation that has nothing to do with co-regulation. The covariate
-track is smoothed per patient into a piecewise-constant fit, aligned from
-probe coordinates onto gene coordinates, and regressed out of the
-expression signal; the residuals then go through the usual
-segmentation/testing pipeline.
+track is smoothed per patient into a piecewise-constant fit
+(segment_covariate), aligned from probe coordinates onto the gene grid as
+one (n, p) array (align_to_genes), and regressed out of the expression
+signal with the design [1, x] (correct_expression); the residuals then go
+through the usual segmentation/testing pipeline.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ class PatientFit:
 
     patient: str
     positions: np.ndarray
-    values: np.ndarray
     breakpoints: tuple[int, ...]
     means: tuple[float, ...]
 
@@ -108,7 +108,6 @@ def _fit_one_series(
     return PatientFit(
         patient=patient,
         positions=positions,
-        values=values,
         breakpoints=tuple(bps),
         means=means,
     )
@@ -198,61 +197,47 @@ def align_to_genes(
 
 def correct_expression(
     matrix: ExpressionMatrix,
-    covariates: AlignedCovariate | list[AlignedCovariate],
+    x: np.ndarray,
     mode: str = "pooled",
 ) -> tuple[ExpressionMatrix, dict]:
-    """Regress the covariate(s) out of the expression matrix.
+    """Regress the gene-aligned covariate x (n x p) out of the expression matrix.
 
-    Pooled mode fits one regression over every (patient, gene) cell of the
-    chromosome, matching a single shared slope per covariate; per-gene
-    mode fits one regression per gene column. Returns the residual matrix
-    (unstandardized; the pipeline re-standardizes before segmenting) and
-    the fitted coefficients.
+    Both modes fit the design [1, x] by least squares. Pooled mode fits one
+    regression over every (patient, gene) cell of the chromosome, a single
+    shared slope; per-gene mode fits one regression per gene column. Returns
+    the residual matrix (unstandardized; the pipeline re-standardizes before
+    segmenting) and the fitted coefficients.
     """
-    if isinstance(covariates, AlignedCovariate):
-        covariates = [covariates]
-    if not covariates:
-        raise ValueError("need at least one covariate")
     Y = matrix.values
-    for c in covariates:
-        if c.x.shape != Y.shape:
-            raise ValueError(f"covariate shape {c.x.shape} does not match {Y.shape}")
+    if x.shape != Y.shape:
+        raise ValueError(f"covariate shape {x.shape} does not match {Y.shape}")
     if mode not in ("pooled", "per-gene"):
         raise ValueError(f"unknown correction mode {mode!r}")
-    if mode == "pooled":
-        cols = [np.ones(Y.size)]
-        degenerate = True
-        for c in covariates:
-            flat = c.x.ravel()
-            if np.ptp(flat) > 0:
-                degenerate = False
-            cols.append(flat)
-        if degenerate:
-            warnings.warn(
-                "covariate has zero variance; returning centered expression",
-                DegenerateCovariateWarning,
-                stacklevel=2,
-            )
-            resid = Y - Y.mean()
-            info = {"mode": mode, "beta": [float(Y.mean())] + [0.0] * len(covariates)}
-        else:
-            A = np.column_stack(cols)
-            beta, *_ = np.linalg.lstsq(A, Y.ravel(), rcond=None)
-            resid = (Y.ravel() - A @ beta).reshape(Y.shape)
-            info = {"mode": mode, "beta": [float(b) for b in beta]}
-    else:
+    if mode == "per-gene":
         resid = np.empty_like(Y)
-        betas = np.empty((matrix.p, 1 + len(covariates)))
+        betas = []
         for j in range(matrix.p):
-            A = np.column_stack([np.ones(matrix.n)] + [c.x[:, j] for c in covariates])
+            A = np.column_stack([np.ones(matrix.n), x[:, j]])
             beta, *_ = np.linalg.lstsq(A, Y[:, j], rcond=None)
             resid[:, j] = Y[:, j] - A @ beta
-            betas[j] = beta
-        info = {"mode": mode, "beta": betas.tolist()}
+            betas.append(beta.tolist())
+    elif np.ptp(x) > 0:
+        A = np.column_stack([np.ones(Y.size), x.ravel()])
+        beta, *_ = np.linalg.lstsq(A, Y.ravel(), rcond=None)
+        resid = (Y.ravel() - A @ beta).reshape(Y.shape)
+        betas = beta.tolist()
+    else:
+        warnings.warn(
+            "covariate has zero variance; returning centered expression",
+            DegenerateCovariateWarning,
+            stacklevel=2,
+        )
+        resid = Y - Y.mean()
+        betas = [float(Y.mean()), 0.0]
     corrected = ExpressionMatrix(
         values=resid,
         gene_ids=matrix.gene_ids,
         standardized=False,
         patient_ids=matrix.patient_ids,
     )
-    return corrected, info
+    return corrected, {"mode": mode, "beta": betas}

@@ -64,9 +64,10 @@ class GridMismatch(ValidationError):
 class TooFewProbes(ValidationError):
     """A patient's covariate series has fewer than 2 probes."""
 
-    def __init__(self, patient: str):
+    def __init__(self, patient: str, chromosome: str | None = None):
         self.patient = patient
-        super().__init__(f"patient {patient!r} has fewer than 2 covariate probes")
+        where = "" if chromosome is None else f" on chromosome {chromosome!r}"
+        super().__init__(f"patient {patient!r} has fewer than 2 covariate probes{where}")
 
 
 class NoProbesOnChromosome(ValidationError):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import ExpressionMatrix, standardize
 from .correction import align_to_genes, correct_expression, segment_covariate
-from .errors import KTooLarge, PatientMismatch, ValidationError
+from .errors import KTooLarge, PatientMismatch, TooFewProbes, ValidationError
 from .io import natural_key
 from .segment import Segmentation, SelectionTrace, select_k
 from .significance import RegionReport, apply_adjustment, test_regions
@@ -160,16 +160,6 @@ def test_all(
     return apply_adjustment(reports, method=adjust, alpha=alpha)
 
 
-def match_patients(
-    matrix: ExpressionMatrix, covariate_patients: set[str]
-) -> None:
-    """Expression and covariate cohorts must agree exactly."""
-    expr = set(matrix.patient_ids)
-    missing = sorted(expr - covariate_patients)
-    extra = sorted(covariate_patients - expr)
-    if missing or extra:
-        raise PatientMismatch(missing, extra)
-
 def correct_view(
     view: ChromosomeView,
     covariate: dict[str, tuple[np.ndarray, np.ndarray]],
@@ -178,20 +168,24 @@ def correct_view(
     k_max: int | None = None,
     half_width: float = 0.0,
 ) -> tuple[ExpressionMatrix, dict]:
-    """Fit, align, and regress out one chromosome's covariate track."""
+    """Fit, align, and regress out one chromosome's covariate track; the
+    track's patients must be exactly the matrix's."""
     matrix = view.matrix
+    expr = set(matrix.patient_ids)
+    missing, extra = sorted(expr - set(covariate)), sorted(set(covariate) - expr)
+    if missing or extra:
+        raise PatientMismatch(missing, extra)
     series = {patient: covariate[patient] for patient in matrix.patient_ids}
-    fits = segment_covariate(series, S=S, k_max=k_max)
-    if view.starts is None:
-        starts = np.arange(matrix.p, dtype=float)
-    else:
-        starts = view.starts
+    try:
+        fits = segment_covariate(series, S=S, k_max=k_max)
+    except TooFewProbes as exc:
+        raise TooFewProbes(exc.patient, view.name) from exc
+    starts = np.arange(matrix.p, dtype=float) if view.starts is None else view.starts
     aligned = align_to_genes(
         fits, starts, gene_ends=view.ends, half_width=half_width, chromosome=view.name
     )
-    corrected, info = correct_expression(matrix, aligned, mode=mode)
+    corrected, info = correct_expression(matrix, aligned.x, mode=mode)
     prov, counts = np.unique(aligned.provenance, return_counts=True)
-    info = dict(info)
     info["alignment"] = {str(k): int(v) for k, v in zip(prov, counts)}
     info["covariate_breakpoints"] = {
         fit.patient: list(fit.breakpoints) for fit in fits

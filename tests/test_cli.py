@@ -227,6 +227,14 @@ class TestSegmentCommand:
                      "--out", str(tmp_path)])
         assert code == 3
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_out_of_domain_threshold_names_flag(self, tmp_path, capsys, value):
+        code = main(["segment", "--input", str(TOY_EXPR), f"--S={value}",
+                     "--out", str(tmp_path)])
+        assert code == 3
+        assert "validation error: --S must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "segmentation.tsv").exists()
+
     @pytest.mark.parametrize("flag", ["--kmax", "--min-seg"])
     def test_infeasible_segment_flag_names_chromosome(self, tmp_path, capsys, flag):
         code = main(["segment", "--input", str(TOY_EXPR), "--annotation", str(TOY_ANN),
@@ -497,6 +505,35 @@ class TestCorrectCommand:
                      "--out", str(tmp_path / "out")])
         assert code == 3
         assert f"{expr}: patient id 'P1' appears more than once\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-5000", "nan", "inf"])
+    def test_out_of_domain_half_width_names_flag(self, tmp_path, capsys, value):
+        expr, ann, cov, _, _ = self._toy_inputs(tmp_path)
+        code = main([
+            "correct", "--input", str(expr), "--annotation", str(ann),
+            "--covariate", str(cov), f"--half-width={value}", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "validation error: --half-width must be finite and >= 0" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_one_probe_patient_names_chromosome(self, tmp_path, capsys):
+        expr, ann, _, _, _ = self._toy_inputs(tmp_path)
+        rows = [[patient, "chr1", float(pos), 1.0]
+                for patient in ["P1", "P2", "P3", "P4"] for pos in range(1, 31)]
+        del rows[1:30]  # P1 keeps one probe
+        cov = tmp_path / "one_probe.tsv"
+        io.write_rows(cov, ["patient", "chromosome", "position", "value"], rows)
+        code = main([
+            "correct", "--input", str(expr), "--annotation", str(ann),
+            "--covariate", str(cov), "--out", str(tmp_path),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "corrseg: validation error: patient 'P1' has fewer than 2 covariate probes"
+            " on chromosome 'chr1'\n"
+        )
 
     def test_patient_mismatch_exit_3(self, tmp_path, capsys):
         expr, ann, _, _, _ = self._toy_inputs(tmp_path)

@@ -8,7 +8,6 @@ import scipy.stats
 
 from corrseg.core import block_sums, build_gram_prefix, standardize
 from corrseg.correction import (
-    AlignedCovariate,
     PatientFit,
     _rss_cost,
     align_to_genes,
@@ -130,10 +129,10 @@ def test_in_place_rss_cost_equals_out_of_place_expression(rng):
 def test_unsorted_positions_are_sorted():
     pos = np.array([30.0, 10.0, 20.0])
     vals = np.array([3.0, 1.0, 2.0])
-    fits = segment_covariate({"P1": (pos, vals)}, fixed_k=1)
+    fits = segment_covariate({"P1": (pos, vals)}, fixed_k=3)
     fit = fits[0]
     assert tuple(fit.positions) == (10.0, 20.0, 30.0)
-    assert tuple(fit.values) == (1.0, 2.0, 3.0)
+    assert fit.means == (1.0, 2.0, 3.0)
 
 
 # ---------------------------------------------------------------- alignment
@@ -196,7 +195,7 @@ def test_align_totality(rng):
 
 def test_align_empty_chromosome():
     empty = (PatientFit(
-        patient="P1", positions=(), values=(), breakpoints=(0,), means=(),
+        patient="P1", positions=(), breakpoints=(0,), means=(),
     ),)
     with pytest.raises(NoProbesOnChromosome):
         align_to_genes(empty, np.array([1.0]), np.array([2.0]), chromosome="chr3")
@@ -207,23 +206,20 @@ def test_align_empty_chromosome():
 def test_exact_linear_relation_gives_zero_residuals(rng):
     x = rng.uniform(-1, 2, size=(20, 8))
     y = 2.0 + 3.0 * x
-    cov = AlignedCovariate(x=x, provenance=np.full((20, 8), "single-probe", "<U12"))
-    corrected, info = correct_expression(as_matrix(y), cov)
+    corrected, info = correct_expression(as_matrix(y), x)
     assert np.allclose(corrected.values, 0.0, atol=1e-10)
     assert info["beta"] == pytest.approx([2.0, 3.0], abs=1e-9)
 
 def test_constant_covariate_degenerates(rng):
     y = rng.standard_normal((15, 4)) + 5.0
-    cov = AlignedCovariate(x=np.full((15, 4), 2.0), provenance=np.full((15, 4), "averaged", "<U12"))
     with pytest.warns(DegenerateCovariateWarning):
-        corrected, info = correct_expression(as_matrix(y), cov)
+        corrected, info = correct_expression(as_matrix(y), np.full((15, 4), 2.0))
     assert np.allclose(corrected.values, y - y.mean(), atol=1e-12)
 
 def test_pooled_ols_matches_scipy(rng):
     x = rng.standard_normal((30, 6))
     y = 1.0 - 0.7 * x + 0.3 * rng.standard_normal((30, 6))
-    cov = AlignedCovariate(x=x, provenance=np.full((30, 6), "single-probe", "<U12"))
-    corrected, info = correct_expression(as_matrix(y), cov)
+    corrected, info = correct_expression(as_matrix(y), x)
     ref = scipy.stats.linregress(x.ravel(), y.ravel())
     assert info["beta"][0] == pytest.approx(ref.intercept, abs=1e-9)
     assert info["beta"][1] == pytest.approx(ref.slope, abs=1e-9)
@@ -237,8 +233,7 @@ def test_per_gene_ols_matches_scipy(rng):
     slopes = [0.5, -1.0, 2.0]
     for j, b in enumerate(slopes):
         y[:, j] = b * x[:, j] + 0.1 * rng.standard_normal(25)
-    cov = AlignedCovariate(x=x, provenance=np.full((25, 3), "single-probe", "<U12"))
-    corrected, info = correct_expression(as_matrix(y), cov, mode="per-gene")
+    corrected, info = correct_expression(as_matrix(y), x, mode="per-gene")
     for j in range(3):
         ref = scipy.stats.linregress(x[:, j], y[:, j])
         assert info["beta"][j][0] == pytest.approx(ref.intercept, abs=1e-9)
@@ -246,28 +241,56 @@ def test_per_gene_ols_matches_scipy(rng):
         assert abs(corrected.values[:, j].mean()) < 1e-10
         assert abs((corrected.values[:, j] * x[:, j]).mean()) < 1e-10
 
-def test_two_covariates_additive(rng):
-    x1 = rng.standard_normal((20, 5))
-    x2 = rng.standard_normal((20, 5))
-    y = 1.0 + 2.0 * x1 - 3.0 * x2
-    covs = [
-        AlignedCovariate(x=x1, provenance=np.full((20, 5), "single-probe", "<U12")),
-        AlignedCovariate(x=x2, provenance=np.full((20, 5), "single-probe", "<U12")),
-    ]
-    corrected, info = correct_expression(as_matrix(y), covs)
-    assert np.allclose(corrected.values, 0.0, atol=1e-9)
-    assert info["beta"] == pytest.approx([1.0, 2.0, -3.0], abs=1e-8)
-
 def test_bad_mode_and_shape(rng):
     y = rng.standard_normal((10, 3))
-    cov = AlignedCovariate(x=np.zeros((10, 4)), provenance=np.full((10, 4), "averaged", "<U12"))
     with pytest.raises(ValueError):
-        correct_expression(as_matrix(y), cov)
-    good = AlignedCovariate(x=np.zeros((10, 3)), provenance=np.full((10, 3), "averaged", "<U12"))
+        correct_expression(as_matrix(y), np.zeros((10, 4)))
     with pytest.raises(ValueError):
-        correct_expression(as_matrix(y), good, mode="ridge")
-    with pytest.raises(ValueError):
-        correct_expression(as_matrix(y), [])
+        correct_expression(as_matrix(y), np.zeros((10, 3)), mode="ridge")
+
+def reference_regression(Y, x, mode):
+    """The one-covariate regression as the list-of-covariates
+    correct_expression computed it: design [1, x], one lstsq call."""
+    if mode == "pooled":
+        flat = x.ravel()
+        if not np.ptp(flat) > 0:
+            return Y - Y.mean(), [float(Y.mean()), 0.0]
+        A = np.column_stack([np.ones(Y.size), flat])
+        beta, *_ = np.linalg.lstsq(A, Y.ravel(), rcond=None)
+        return (Y.ravel() - A @ beta).reshape(Y.shape), [float(b) for b in beta]
+    n, p = Y.shape
+    resid = np.empty_like(Y)
+    betas = np.empty((p, 2))
+    for j in range(p):
+        A = np.column_stack([np.ones(n), x[:, j]])
+        beta, *_ = np.linalg.lstsq(A, Y[:, j], rcond=None)
+        resid[:, j] = Y[:, j] - A @ beta
+        betas[j] = beta
+    return resid, betas.tolist()
+
+@pytest.mark.parametrize("mode, p, constant", [
+    ("pooled", 7, None),
+    ("per-gene", 7, "column"),
+    ("pooled", 7, "all"),
+    ("pooled", 1, None),
+    ("per-gene", 1, None),
+], ids=["pooled", "per-gene-constant-column", "degenerate", "p1-pooled", "p1-per-gene"])
+def test_regression_bits_equal_reference(mode, p, constant):
+    rng = np.random.default_rng(2024)
+    x = rng.uniform(0.5, 3.0, size=(12, p))
+    if constant == "column":
+        x[:, 2] = 1.5
+    elif constant == "all":
+        x[:] = 2.0
+    y = 1.0 + 0.8 * x + rng.standard_normal((12, p))
+    if constant == "all":
+        with pytest.warns(DegenerateCovariateWarning):
+            corrected, info = correct_expression(as_matrix(y), x, mode=mode)
+    else:
+        corrected, info = correct_expression(as_matrix(y), x, mode=mode)
+    resid, beta = reference_regression(y, x, mode)
+    assert np.array_equal(corrected.values, resid)
+    assert info == {"mode": mode, "beta": beta}
 
 
 def covariate_driven_dataset(seed):
@@ -292,8 +315,7 @@ def test_correction_removes_x_block_keeps_real_block():
     for seed in range(20):
         y, x, (a1, b1), (a2, b2) = covariate_driven_dataset(seed)
         m = as_matrix(y)
-        cov = AlignedCovariate(x=x, provenance=np.full(x.shape, "single-probe", "<U12"))
-        corrected, _ = correct_expression(m, cov)
+        corrected, _ = correct_expression(m, x)
         removed.append(block_rho(corrected, a1, b1))
         kept.append(block_rho(corrected, a2, b2))
         # correction lowers the background estimate on covariate-driven data

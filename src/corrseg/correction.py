@@ -12,7 +12,7 @@ through the usual segmentation/testing pipeline.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,64 +53,38 @@ class PatientFit:
         return np.repeat(np.arange(len(self.means)), np.diff(self.breakpoints))
 
 
+# points per batched kernel call: at t = 450 a batch of 4 series keeps each
+# (4, TILE, 450) tile near 0.5 MB, the size of a p = 2000 expression tile;
+# from t = BATCH_POINTS on a batch is one series
+BATCH_POINTS = 2048
+
+
 def _rss_cost(values: np.ndarray):
     """cost(starts, stops) for the kernel: within-segment residual sum of squares.
 
-    Every call writes into the same three tile buffers, so the cost of one
-    tile is valid until the next call.
+    values is one series (t,) or a batch of series (batch, t), whose tiles
+    then lead with the batch axis. Every call writes into the same two tile
+    buffers, so the cost of one tile is valid until the next call.
     """
-    cs = np.concatenate(([0.0], np.cumsum(values)))
-    cs2 = np.concatenate(([0.0], np.cumsum(values * values)))
-    scratch = np.empty((3, TILE * len(values)))
+    cs, cs2 = np.zeros((2, *values.shape[:-1], values.shape[-1] + 1))
+    # a cumsum along the last axis is sequential, the sums of a 1-D cumsum
+    np.cumsum(values, axis=-1, out=cs[..., 1:])
+    np.cumsum(values * values, axis=-1, out=cs2[..., 1:])
+    scratch = np.empty((2, TILE * values.size))
 
     def cost(starts, stops):
-        seg_sum, seg_sq, length = _tile_views(scratch, (stops.size, starts.size))
-        np.subtract(cs[stops], cs[starts], out=seg_sum)
-        np.subtract(cs2[stops], cs2[starts], out=seg_sq)
-        np.subtract(stops, starts, out=length)
+        seg_sum, seg_sq = _tile_views(scratch, (*values.shape[:-1], stops.size, starts.size))
+        np.subtract(cs[..., stops], cs[..., starts], out=seg_sum)
+        np.subtract(cs2[..., stops], cs2[..., starts], out=seg_sq)
         with np.errstate(invalid="ignore", divide="ignore"):
             # rss = seg_sq - seg_sum * seg_sum / max(length, 1)
-            np.maximum(length, 1, out=length)
+            length = np.subtract(stops, starts, dtype=float)
             np.multiply(seg_sum, seg_sum, out=seg_sum)
-            np.divide(seg_sum, length, out=seg_sum)
+            np.divide(seg_sum, np.maximum(length, 1, out=length), out=seg_sum)
             np.subtract(seg_sq, seg_sum, out=seg_sq)
         return np.maximum(seg_sq, 0.0, out=seg_sq)  # guard tiny negative round-off
 
     return cost
-
-def _fit_one_series(
-    patient: str,
-    positions: np.ndarray,
-    values: np.ndarray,
-    S: float,
-    k_max: int | None,
-    fixed_k: int | None,
-) -> PatientFit:
-    t = len(values)
-    if t < 2:
-        raise TooFewProbes(patient)
-    order = np.argsort(positions, kind="stable")
-    positions = np.asarray(positions, dtype=float)[order]
-    values = np.asarray(values, dtype=float)[order]
-    cost = _rss_cost(values)
-    if fixed_k is not None:
-        k = min(max(1, fixed_k), t)
-        _, B = _dp_kernel(cost, t, k, 1)
-    else:
-        km = default_k_max(t) if k_max is None else min(k_max, t)
-        D, B = _dp_kernel(cost, t, km, 1)
-        # Gaussian profile log-likelihood of the best K-segment fit
-        L = -(t / 2.0) * np.log(np.maximum(D[:, -1], LOG_EPS) / t)
-        Kt = penalty(np.arange(1, km + 1), t)
-        k, _, _ = slope_change_choice(L, Kt, S, "largest")
-    bps = _backtrack(B, k, t)
-    means = tuple(float(values[a:b].mean()) for a, b in zip(bps[:-1], bps[1:]))
-    return PatientFit(
-        patient=patient,
-        positions=positions,
-        breakpoints=tuple(bps),
-        means=means,
-    )
 
 def segment_covariate(
     series: dict[str, tuple[np.ndarray, np.ndarray]],
@@ -123,11 +97,38 @@ def segment_covariate(
     The number of segments per patient is chosen by the same slope-change
     rule as expression segmentation, applied to the Gaussian profile
     log-likelihood of the residual sum of squares; fixed_k overrides it.
+    Series of one length t are fitted BATCH_POINTS // t (at least one) per
+    kernel pass; the fits come back in the order of series.
     """
-    return tuple(
-        _fit_one_series(patient, pos, val, S, k_max, fixed_k)
-        for patient, (pos, val) in series.items()
-    )
+    tracks, by_length = [], {}
+    for patient, (positions, values) in series.items():
+        if len(values) < 2:
+            raise TooFewProbes(patient)
+        order = np.argsort(positions, kind="stable")
+        by_length.setdefault(len(values), []).append(len(tracks))
+        tracks.append((patient, np.asarray(positions, dtype=float)[order],
+                       np.asarray(values, dtype=float)[order]))
+    fits = [None] * len(tracks)
+    for t, members in by_length.items():
+        if fixed_k is None:
+            km = default_k_max(t) if k_max is None else min(k_max, t)
+        else:
+            km = min(max(1, fixed_k), t)
+        Kt = penalty(np.arange(1, km + 1), t)
+        size = max(1, BATCH_POINTS // t)
+        for batch in (members[a : a + size] for a in range(0, len(members), size)):
+            stacked = np.stack([tracks[i][2] for i in batch])
+            D, B = _dp_kernel(_rss_cost(stacked), t, km, 1, len(batch))
+            # Gaussian profile log-likelihood of each series' best K-segment fits
+            L = -(t / 2.0) * np.log(np.maximum(D[..., -1], LOG_EPS) / t)
+            for j, i in enumerate(batch):
+                k = km if fixed_k is not None else slope_change_choice(L[j], Kt, S, "largest")[0]
+                patient, positions, values = tracks[i]
+                bps = _backtrack(B[j], k, t)
+                means = tuple(float(values[a:b].mean()) for a, b in zip(bps[:-1], bps[1:]))
+                fits[i] = PatientFit(patient, positions, tuple(bps), means)
+            del D, B  # this batch's tables go before the next pass allocates its own
+    return tuple(fits)
 
 
 @dataclass(frozen=True)
@@ -234,10 +235,4 @@ def correct_expression(
         )
         resid = Y - Y.mean()
         betas = [float(Y.mean()), 0.0]
-    corrected = ExpressionMatrix(
-        values=resid,
-        gene_ids=matrix.gene_ids,
-        standardized=False,
-        patient_ids=matrix.patient_ids,
-    )
-    return corrected, {"mode": mode, "beta": betas}
+    return replace(matrix, values=resid, standardized=False), {"mode": mode, "beta": betas}

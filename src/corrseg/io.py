@@ -3,11 +3,11 @@ writers for segmentations, region reports, ROC tables, and run manifests.
 
 All tabular files carry a one-line header. Gene coordinates in output
 files are 1-based inclusive; the library's half-open 0-based convention
-stays internal. Writers pass model values; `write_rows` alone formats a
-table cell (a float as its shortest round-trip repr, a bool as
-true/false) and `write_json` alone a JSON value (NaN as null, strict
-JSON). Manifests record config, version, and seed but no clocks, so
-rerunning a seeded command reproduces outputs byte for byte.
+stays internal. Writers pass model values; `write_rows` formats a table
+cell (a float as its shortest round-trip repr, a bool as true/false),
+`write_matrix` joins rows of floats from the same reprs, and `write_json`
+alone decides a JSON value (NaN as null, strict JSON). Manifests record
+config, version, and seed but no clocks, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import re
 from array import array
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from io import StringIO
 from itertools import chain
 from pathlib import Path
 
@@ -431,13 +432,16 @@ def read_regions(path: str | Path) -> list[RegionReport]:
 
 
 def write_matrix(path: str | Path, matrix: ExpressionMatrix) -> None:
-    """Write an expression matrix in the ingestion layout (patients as rows)."""
+    """Write an expression matrix in the ingestion layout (patients as rows).
+    csv quotes the header and the ids; a row's floats need no quoting and are
+    joined from their reprs, the cell `_fmt` makes of a Python float."""
     ids = matrix.patient_ids or [f"R{i + 1:03d}" for i in range(matrix.n)]
-    write_rows(
-        path,
-        ["patient", *matrix.gene_ids],
-        ([pid, *row.tolist()] for pid, row in zip(ids, matrix.values)),
-    )
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, delimiter="\t", lineterminator="\n").writerow(["patient", *matrix.gene_ids])
+        for pid, row in zip(ids, matrix.values):
+            id_cell = StringIO()  # the line of [pid, ""]: the quoted id, a tab, "\n"
+            csv.writer(id_cell, delimiter="\t", lineterminator="\n").writerow([pid, ""])
+            fh.write(id_cell.getvalue()[:-1] + "\t".join(map(repr, row.tolist())) + "\n")
 
 
 def write_truth(path: str | Path, truth_by_chrom: dict[str, np.ndarray], gene_ids: dict[str, list[str]]) -> None:

@@ -78,9 +78,9 @@ def _closed_form_cost(S: np.ndarray, L: np.ndarray, n: int, work=None) -> np.nda
     return S
 
 
-def _tile_views(scratch: np.ndarray, shape: tuple[int, int]) -> list[np.ndarray]:
+def _tile_views(scratch: np.ndarray, shape: tuple[int, ...]) -> list[np.ndarray]:
     """One C-contiguous array of `shape` at the front of each row of scratch."""
-    size = shape[0] * shape[1]
+    size = np.prod(shape)
     return [row[:size].reshape(shape) for row in scratch]
 
 
@@ -122,8 +122,10 @@ class Segmentation:
 # Memory of one `_expression_dp` pass, in bytes: 8*(p+1)^2 for the Gram
 # prefix, 8*k_max*(p+1) for E (D) and 4*k_max*p for the int32 B, plus a few
 # tile buffers of 8*TILE*p each, allocated once per pass: M here and four in
-# the cost closure, with one transient gather inside `block_sums`.
-def _dp_kernel(cost, m: int, k_max: int, min_seg_len: int) -> tuple[np.ndarray, np.ndarray]:
+# the cost closure, with one transient gather inside `block_sums`. A batched
+# `_rss_cost` pass of t points: batch*(8*k_max*(t+1) + 4*k_max*t), M and two
+# segment sums of batch*8*TILE*t each, and a transient 8*TILE*t length tile.
+def _dp_kernel(cost, m: int, k_max: int, min_seg_len: int, batch: int | None = None):
     """Optimal segmentations of m points into 1..k_max segments, one pass.
 
     cost(starts, stops) returns the cost of the half-open segments
@@ -135,39 +137,44 @@ def _dp_kernel(cost, m: int, k_max: int, min_seg_len: int) -> tuple[np.ndarray, 
     B[k-1, b] = last point of the (k-1)-th segment at that optimum (ties
     go to the lowest), defined only where D is finite. Rows k <= K do not
     depend on k_max, so any K up to k_max backtracks from the same B.
+    With a batch, the tiles, D and B lead with a series axis that long.
     """
+    lead = () if batch is None else (batch,)
     msl = max(1, min_seg_len)
     # E[k, s] = D[k, s - 1]; its +inf column 0 lets a segment start s index
     # the row it extends, so each add reads whole contiguous rows
-    E = np.full((k_max, m + 1), np.inf)
-    B = np.zeros((k_max, m), dtype=np.int32)
-    M_flat = np.empty(TILE * m)
+    E = np.full((*lead, k_max, m + 1), np.inf)
+    B = np.zeros((*lead, k_max, m), dtype=np.int32)
+    # M, which takes the add's stores, starts on a 64-byte boundary: off it,
+    # a chr-2000 pass ran 20-30% slower, as the heap happened to place M
+    M_flat = np.empty(TILE * m * (batch or 1) + 8)
+    M_flat = M_flat[(-M_flat.ctypes.data % 64) // 8 :]
     # short[r, j]: the segment from s = b0 + 1 - msl + j to end point b0 + r
     # has fewer than msl points
     short = ~np.tri(TILE, TILE + msl - 1, dtype=bool)
     for b0 in range(0, m, TILE):
         b1 = min(b0 + TILE, m)
         w = b1 - b0
-        # c[b - b0, s] = cost of segment s..b inclusive
+        # c[..., b - b0, s] = cost of segment s..b inclusive
         c = cost(np.arange(b1)[None, :], np.arange(b0 + 1, b1 + 1)[:, None])
         s0 = b0 + 1 - msl
         lo = max(s0, 0)
-        np.copyto(c[:, lo:], np.inf, where=short[:w, lo - s0 : w + msl - 1])
-        E[0, b0 + 1 : b1 + 1] = c[:, 0]
+        np.copyto(c[..., lo:], np.inf, where=short[:w, lo - s0 : w + msl - 1])
+        E[..., 0, b0 + 1 : b1 + 1] = c[..., 0]
         # Row k of the tile needs row k-1 only at end points before b, so
         # each row is filled for the whole tile at once. At p = 2000, c and
         # M are 0.5 MB each and stay in a core's own cache. M is the front of
-        # one flat buffer, C-contiguous, so argmin(axis=1) reads it uncopied.
+        # the flat buffer: argmin reads it uncopied, the minima come at rows + s.
         M = M_flat[: c.size].reshape(c.shape)
-        ends = np.arange(w)
+        rows = np.arange(0, c.size, b1).reshape(c.shape[:-1])
         for k in range(1, k_max):
-            # M[b - b0, s] = best k segments of 0..s-1, then segment s..b;
-            # s = 0 and s > b are +inf, in E and in c
-            np.add(c, E[k - 1, :b1], out=M)
-            s = M.argmin(axis=1)
-            E[k, b0 + 1 : b1 + 1] = M[ends, s]
-            B[k, b0:b1] = s - 1
-    return E[:, 1:], B
+            # M[..., b - b0, s] = best k segments of 0..s-1, then segment
+            # s..b; s = 0 and s > b are +inf, in E and in c
+            np.add(c, E[..., k - 1, None, :b1], out=M)
+            s = M.argmin(axis=-1)
+            E[..., k, b0 + 1 : b1 + 1] = M_flat[rows + s]
+            B[..., k, b0:b1] = s - 1
+    return E[..., 1:], B
 
 def _backtrack(B: np.ndarray, k: int, p: int) -> list[int]:
     """Recover breakpoints [0, ..., p] for the optimum with k segments."""

@@ -76,6 +76,8 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError(f"need n >= 3 patients, got {self.n}")
+        if np.isnan(self.rho1):
+            raise ValueError(f"rho1={self.rho1} must be finite")
         rho0s = self.rho0_by_chromosome()
         if len(rho0s) != len(self.chromosomes):
             raise ValueError("need one rho0 per chromosome (or a scalar)")

@@ -600,6 +600,11 @@ class TestSimulateCommand:
     def test_invalid_rho0_flag_exit_3(self, tmp_path):
         assert main(["simulate", "--rho0", "1.5", "--out", str(tmp_path)]) == 3
 
+    def test_nan_rho1_named_as_not_finite(self, tmp_path, capsys):
+        # NaN fails every comparison, so no bound check may speak for it
+        assert main(["simulate", "--p", "150", "--rho1", "nan", "--out", str(tmp_path)]) == 3
+        assert "rho1=nan must be finite" in capsys.readouterr().err
+
 
 class TestEvaluateCommand:
     def test_scores_a_detected_block(self, tmp_path):

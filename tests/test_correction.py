@@ -1,11 +1,15 @@
 """Covariate segmentation, gene alignment, and regression correction."""
 
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
+from corrseg import correction
 from corrseg.core import block_sums, build_gram_prefix, standardize
 from corrseg.correction import (
     PatientFit,
@@ -19,7 +23,16 @@ from corrseg.errors import (
     NoProbesOnChromosome,
     TooFewProbes,
 )
-from corrseg.segment import TILE, _dp_kernel, rho_hat
+from corrseg.segment import (
+    LOG_EPS,
+    TILE,
+    _backtrack,
+    _dp_kernel,
+    default_k_max,
+    penalty,
+    rho_hat,
+    slope_change_choice,
+)
 from corrseg.significance import estimate_rho0
 from conftest import as_matrix, blocked_matrix
 
@@ -125,6 +138,116 @@ def test_in_place_rss_cost_equals_out_of_place_expression(rng):
             negative |= bool((rss < 0).any())
             assert np.array_equal(cost(starts, stops), expected)
     assert negative
+
+def fit_one_series(patient, positions, values, S, k_max, fixed_k):
+    """Oracle: the fit of one series in a kernel pass of its own, as before batching."""
+    t = len(values)
+    order = np.argsort(positions, kind="stable")
+    positions = np.asarray(positions, dtype=float)[order]
+    values = np.asarray(values, dtype=float)[order]
+    if fixed_k is not None:
+        k = min(max(1, fixed_k), t)
+        _, B = _dp_kernel(_rss_cost(values), t, k, 1)
+    else:
+        km = default_k_max(t) if k_max is None else min(k_max, t)
+        D, B = _dp_kernel(_rss_cost(values), t, km, 1)
+        L = -(t / 2.0) * np.log(np.maximum(D[:, -1], LOG_EPS) / t)
+        k, _, _ = slope_change_choice(L, penalty(np.arange(1, km + 1), t), S, "largest")
+    bps = _backtrack(B, k, t)
+    means = tuple(float(values[a:b].mean()) for a, b in zip(bps[:-1], bps[1:]))
+    return PatientFit(patient, positions, tuple(bps), means)
+
+def fits_equal(a, b):
+    return (a.patient, a.breakpoints, a.means, a.positions.tobytes()) == (
+        b.patient, b.breakpoints, b.means, b.positions.tobytes())
+
+TRACK_LENGTHS = (2, 7, TILE - 1, TILE, 3 * TILE + 5)
+
+@st.composite
+def covariate_tracks(draw):
+    """Series of mixed lengths: plain, rounded (tied optima) or on a 1e8
+    offset, where round-off drives some RSS below 0."""
+    tracks = {}
+    for i in range(draw(st.integers(1, 9))):
+        t = draw(st.sampled_from(TRACK_LENGTHS))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        values = rng.standard_normal(t) + rng.choice([0.0, 3.0], size=t).cumsum()
+        kind = draw(st.sampled_from(["plain", "rounded", "offset"]))
+        if kind == "rounded":
+            values = np.round(values)
+        elif kind == "offset":
+            values = 1e8 + rng.integers(0, 3, t) * 1e-4
+        positions = rng.permutation(t).astype(float) * 100.0
+        tracks[f"P{i}"] = (positions, values)
+    return tracks
+
+@settings(deadline=None, max_examples=40)
+@given(
+    tracks=covariate_tracks(),
+    batch_points=st.integers(1, 4 * (3 * TILE + 5)),
+    k_max=st.none() | st.integers(1, 12),
+    fixed_k=st.none() | st.integers(0, 6),
+)
+def test_batched_fits_equal_one_pass_per_series(tracks, batch_points, k_max, fixed_k):
+    # batch sizes BATCH_POINTS // t that need not divide a length's group
+    with mock.patch.object(correction, "BATCH_POINTS", batch_points):
+        fits = segment_covariate(tracks, 0.7, k_max, fixed_k)
+    expected = [fit_one_series(p, pos, val, 0.7, k_max, fixed_k) for p, (pos, val) in tracks.items()]
+    assert len(fits) == len(expected)
+    assert all(fits_equal(a, b) for a, b in zip(fits, expected))
+    # the batched kernel on each length's group, against a pass per series
+    for t in {len(val) for _, val in tracks.values()}:
+        group = np.stack([val for _, val in tracks.values() if len(val) == t])
+        km = t if k_max is None else min(k_max, t)
+        D, B = _dp_kernel(_rss_cost(group), t, km, 1, len(group))
+        for values, Dj, Bj in zip(group, D, B):
+            D1, B1 = _dp_kernel(_rss_cost(values), t, km, 1)
+            assert np.array_equal(Dj, D1)
+            assert np.array_equal(Bj[np.isfinite(D1)], B1[np.isfinite(D1)])
+
+@settings(deadline=None, max_examples=40)
+@given(lengths=st.lists(st.sampled_from((0, 1, 2, 9, TILE)), min_size=1, max_size=8))
+def test_first_short_series_in_input_order_is_named(lengths):
+    tracks = {f"P{i}": (np.arange(t, dtype=float), np.arange(t, dtype=float)) for i, t in enumerate(lengths)}
+    short = [f"P{i}" for i, t in enumerate(lengths) if t < 2]
+    if not short:
+        assert len(segment_covariate(tracks)) == len(lengths)
+        return
+    with pytest.raises(TooFewProbes) as exc:
+        segment_covariate(tracks)
+    assert exc.value.patient == short[0]
+
+def _traced_peak(fit, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fit(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+def _cnv_tracks(n, t, rng):
+    steps = np.repeat(rng.standard_normal(5), -(-t // 5))[:t]
+    return {f"P{i:03d}": (np.arange(t) * 666.0, steps + rng.standard_normal(t)) for i in range(n)}
+
+def test_covariate_memory_stays_near_one_batch(rng):
+    # the formula beside `_dp_kernel`: one batch's E (float64) and B (int32)
+    # plus M and the two segment sums, with a fourth batch tile for the
+    # transient length tile and numpy's iteration buffers; the fits keep
+    # every series' sorted positions and values
+    n, t = 58, 450
+    k_max = default_k_max(t)
+    batch = correction.BATCH_POINTS // t
+    peak = _traced_peak(segment_covariate, _cnv_tracks(n, t, rng))
+    tables = batch * (8 * k_max * (t + 1) + 4 * k_max * t)
+    assert peak <= tables + 4 * (8 * TILE * t * batch) + 16 * n * t
+
+def test_large_series_are_fitted_one_at_a_time(rng):
+    # from t = BATCH_POINTS on a batch is one series; a pass at t = 5000 and
+    # k_max = 100 peaked at 11.06 MiB when every series had a pass of its
+    # own, and a second series' tables alive at once would add 6 MB
+    assert correction.BATCH_POINTS <= 5000
+    peak = _traced_peak(segment_covariate, _cnv_tracks(2, 5000, rng), k_max=100)
+    assert peak <= 1.02 * 11.06 * 2**20
 
 def test_unsorted_positions_are_sorted():
     pos = np.array([30.0, 10.0, 20.0])

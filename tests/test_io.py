@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from corrseg import io
+from corrseg.core import ExpressionMatrix
 from corrseg.errors import (
     CorrsegError, IngestionError, InvalidMatrix, MissingValues, SchemaError, ValidationError,
 )
@@ -62,6 +63,26 @@ def test_matrix_round_trip(tmp_path, rng):
     # repr-formatted floats survive the round trip bit-for-bit
     assert back.values.tobytes() == m.values.tobytes()
     assert back.gene_ids == m.gene_ids
+
+def test_write_matrix_bytes_equal_the_csv_row_writer(tmp_path):
+    # ids that csv must quote (tab, quote, CR/LF, empty) and floats whose
+    # repr has an exponent, a sign on zero or a subnormal value
+    ids = ("a\tb", 'say "hi"', "cr\rlf\n", "")
+    genes = ("g1", "g\t2", 'g"3', "g4")
+    values = np.array([
+        [1e-05, 1e16, -0.0, 5e-324],
+        [0.1, -2.5, 123456789.0, 2.2250738585072014e-308],
+        [1.0, -1e-300, 3.0, 7.0],
+        [np.pi, -np.e, 1e300, -1e16],
+    ])
+    m = ExpressionMatrix(values=values, gene_ids=genes, patient_ids=ids)
+    io.write_matrix(tmp_path / "fast.tsv", m)
+    io.write_rows(
+        tmp_path / "csv.tsv",
+        ["patient", *genes],
+        ([pid, *row.tolist()] for pid, row in zip(ids, values)),
+    )
+    assert (tmp_path / "fast.tsv").read_bytes() == (tmp_path / "csv.tsv").read_bytes()
 
 def test_read_expression_errors(tmp_path):
     with pytest.raises(IngestionError):

@@ -11,13 +11,16 @@ through the usual segmentation/testing pipeline.
 
 from __future__ import annotations
 
+import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import ExpressionMatrix
-from .errors import DegenerateCovariateWarning, NoProbesOnChromosome, TooFewProbes
+from .errors import DegenerateCovariateWarning, KTooLarge, NoProbesOnChromosome, TooFewProbes
 from .segment import (
     LOG_EPS,
     TILE,
@@ -86,6 +89,92 @@ def _rss_cost(values: np.ndarray):
 
     return cost
 
+
+def _fit_batch(job: tuple[np.ndarray, int, float, bool]) -> list[list[int]]:
+    """Breakpoints of every series in one batch, from one kernel pass.
+
+    job is (values, k_max, S, fixed): values stacks the batch's sorted
+    series (batch, t); with fixed, every series gets k_max segments.
+    """
+    values, km, S, fixed = job
+    batch, t = values.shape
+    D, B = _dp_kernel(_rss_cost(values), t, km, 1, batch)
+    if fixed:
+        ks = [km] * batch
+    else:
+        # Gaussian profile log-likelihood of each series' best K-segment fits
+        L = -(t / 2.0) * np.log(np.maximum(D[..., -1], LOG_EPS) / t)
+        Kt = penalty(np.arange(1, km + 1), t)
+        ks = [slope_change_choice(Lj, Kt, S, "largest")[0] for Lj in L]
+    return [_backtrack(Bj, k, t) for Bj, k in zip(B, ks)]
+
+
+# DP cells (k_max * t**2 per series, as the benchmark's correction.dp_cells
+# counts them) a worker process must get to pay for its start-up: on 2 CPUs
+# pooled fits broke even with inline ones between 24 and 64 million cells
+# (about 50 ms of fits), so two workers need 64 million
+WORKER_CELLS = 32_000_000
+# the DP tables (E and B) of the batches the workers hold at once stay
+# within this, or within one batch where one batch is larger
+POOL_TABLE_BYTES = 512 * 2**20
+# where Linux lists this process's cgroups and mounts their controllers
+PROC_CGROUP = "/proc/self/cgroup"
+CGROUP_ROOT = "/sys/fs/cgroup"
+
+
+def _cpu_quota(directory: str, v2: bool) -> float:
+    """CPUs the quota of one cgroup directory allows; inf if it sets none."""
+    fields = []
+    try:
+        for name in ["cpu.max"] if v2 else ["cpu.cfs_quota_us", "cpu.cfs_period_us"]:
+            with open(os.path.join(directory, name)) as f:
+                fields += f.read().split()
+        quota, period = map(int, fields)
+    except (OSError, ValueError):  # no such file, or v2's "max"
+        return math.inf
+    return quota / period if quota > 0 else math.inf  # v1 writes -1 for none
+
+
+def usable_cpus() -> int:
+    """CPUs this process may use: its affinity mask, capped by the CPU quota
+    of its cgroup or of any cgroup above it (cgroup v2 or v1's cpu)."""
+    cpus = len(os.sched_getaffinity(0))
+    try:
+        with open(PROC_CGROUP) as f:
+            entries = [line.rstrip("\n").split(":", 2) for line in f]
+    except OSError:
+        return cpus
+    quota = math.inf
+    for _, controllers, path in entries:
+        v2 = controllers == ""
+        if v2 or "cpu" in controllers.split(","):
+            root = CGROUP_ROOT if v2 else os.path.join(CGROUP_ROOT, "cpu")
+            parts = [part for part in path.split("/") if part]
+            # a quota above the process's cgroup binds it too, and a
+            # container may see its own cgroup at the root, not at path
+            for depth in range(len(parts) + 1):
+                quota = min(quota, _cpu_quota(os.path.join(root, *parts[:depth]), v2))
+    return cpus if quota >= cpus else math.ceil(quota)
+
+
+def _workers(batches: int, cells: int, table_bytes: int) -> int:
+    """Worker processes to fit the batches in; 1 means inline.
+
+    cells counts the fits' DP cells; table_bytes is the largest batch's tables.
+    """
+    if sys.platform != "linux":
+        # fork is unsafe under macOS system libraries and absent on Windows
+        return 1
+    workers = min(batches, cells // WORKER_CELLS, POOL_TABLE_BYTES // max(1, table_bytes))
+    if workers < 2:
+        return 1
+    import multiprocessing
+
+    if multiprocessing.current_process().daemon:
+        return 1  # a daemonic process may not have children
+    return min(workers, usable_cpus())
+
+
 def segment_covariate(
     series: dict[str, tuple[np.ndarray, np.ndarray]],
     S: float = 0.7,
@@ -98,8 +187,13 @@ def segment_covariate(
     rule as expression segmentation, applied to the Gaussian profile
     log-likelihood of the residual sum of squares; fixed_k overrides it.
     Series of one length t are fitted BATCH_POINTS // t (at least one) per
-    kernel pass; the fits come back in the order of series.
+    kernel pass. On Linux, when the fits are large enough to pay for it, the
+    batches run in forked worker processes, at most one per usable CPU and
+    within POOL_TABLE_BYTES of tables; the fits come back in the order of
+    series either way.
     """
+    if k_max is not None and k_max < 1:
+        raise KTooLarge(f"k_max={k_max} out of range for a covariate series; need k_max >= 1")
     tracks, by_length = [], {}
     for patient, (positions, values) in series.items():
         if len(values) < 2:
@@ -108,26 +202,36 @@ def segment_covariate(
         by_length.setdefault(len(values), []).append(len(tracks))
         tracks.append((patient, np.asarray(positions, dtype=float)[order],
                        np.asarray(values, dtype=float)[order]))
-    fits = [None] * len(tracks)
+    batches, cells, table_bytes = [], 0, 0
     for t, members in by_length.items():
         if fixed_k is None:
             km = default_k_max(t) if k_max is None else min(k_max, t)
         else:
             km = min(max(1, fixed_k), t)
-        Kt = penalty(np.arange(1, km + 1), t)
         size = max(1, BATCH_POINTS // t)
-        for batch in (members[a : a + size] for a in range(0, len(members), size)):
-            stacked = np.stack([tracks[i][2] for i in batch])
-            D, B = _dp_kernel(_rss_cost(stacked), t, km, 1, len(batch))
-            # Gaussian profile log-likelihood of each series' best K-segment fits
-            L = -(t / 2.0) * np.log(np.maximum(D[..., -1], LOG_EPS) / t)
-            for j, i in enumerate(batch):
-                k = km if fixed_k is not None else slope_change_choice(L[j], Kt, S, "largest")[0]
-                patient, positions, values = tracks[i]
-                bps = _backtrack(B[j], k, t)
-                means = tuple(float(values[a:b].mean()) for a, b in zip(bps[:-1], bps[1:]))
-                fits[i] = PatientFit(patient, positions, tuple(bps), means)
-            del D, B  # this batch's tables go before the next pass allocates its own
+        batches += [(members[a : a + size], km) for a in range(0, len(members), size)]
+        cells += len(members) * km * t * t
+        # the kernel's E (float64) and B (int32) for one batch
+        table_bytes = max(table_bytes, min(size, len(members)) * km * (8 * (t + 1) + 4 * t))
+    # built lazily, so an inline run holds one batch's stack at a time
+    jobs = ((np.stack([tracks[i][2] for i in batch]), km, S, fixed_k is not None)
+            for batch, km in batches)
+    workers = _workers(len(batches), cells, table_bytes)
+    if workers == 1:
+        results = map(_fit_batch, jobs)
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork, not forkserver or spawn: a worker starts with numpy loaded
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            results = list(pool.map(_fit_batch, jobs))
+    fits = [None] * len(tracks)
+    for (batch, _), breakpoints in zip(batches, results):
+        for i, bps in zip(batch, breakpoints):
+            patient, positions, values = tracks[i]
+            means = tuple(float(values[a:b].mean()) for a, b in zip(bps[:-1], bps[1:]))
+            fits[i] = PatientFit(patient, positions, tuple(bps), means)
     return tuple(fits)
 
 

@@ -1,6 +1,10 @@
 """Covariate segmentation, gene alignment, and regression correction."""
 
 import itertools
+import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -20,6 +24,7 @@ from corrseg.correction import (
 )
 from corrseg.errors import (
     DegenerateCovariateWarning,
+    KTooLarge,
     NoProbesOnChromosome,
     TooFewProbes,
 )
@@ -229,11 +234,22 @@ def _cnv_tracks(n, t, rng):
     steps = np.repeat(rng.standard_normal(5), -(-t // 5))[:t]
     return {f"P{i:03d}": (np.arange(t) * 666.0, steps + rng.standard_normal(t)) for i in range(n)}
 
-def test_covariate_memory_stays_near_one_batch(rng):
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """Set the CPUs `correction.usable_cpus` reports."""
+    def set_cpus(n):
+        monkeypatch.setattr(correction, "usable_cpus", lambda: n)
+    return set_cpus
+
+fork_only = pytest.mark.skipif(sys.platform != "linux", reason="worker processes fork only on Linux")
+
+def test_covariate_memory_stays_near_one_batch(rng, usable_cpus):
     # the formula beside `_dp_kernel`: one batch's E (float64) and B (int32)
     # plus M and the two segment sums, with a fourth batch tile for the
     # transient length tile and numpy's iteration buffers; the fits keep
-    # every series' sorted positions and values
+    # every series' sorted positions and values. tracemalloc sees only this
+    # process, so the fits run inline, on one usable CPU
+    usable_cpus(1)
     n, t = 58, 450
     k_max = default_k_max(t)
     batch = correction.BATCH_POINTS // t
@@ -241,13 +257,156 @@ def test_covariate_memory_stays_near_one_batch(rng):
     tables = batch * (8 * k_max * (t + 1) + 4 * k_max * t)
     assert peak <= tables + 4 * (8 * TILE * t * batch) + 16 * n * t
 
-def test_large_series_are_fitted_one_at_a_time(rng):
+def test_large_series_are_fitted_one_at_a_time(rng, usable_cpus):
     # from t = BATCH_POINTS on a batch is one series; a pass at t = 5000 and
     # k_max = 100 peaked at 11.06 MiB when every series had a pass of its
-    # own, and a second series' tables alive at once would add 6 MB
+    # own, and a second series' tables alive at once would add 6 MB; inline,
+    # on one usable CPU, as above
+    usable_cpus(1)
     assert correction.BATCH_POINTS <= 5000
     peak = _traced_peak(segment_covariate, _cnv_tracks(2, 5000, rng), k_max=100)
     assert peak <= 1.02 * 11.06 * 2**20
+
+@fork_only
+def test_pool_workers_hold_one_series_at_large_t(rng, usable_cpus, monkeypatch, tmp_path):
+    # the pooled path of the test above: each worker's kernel pass holds one
+    # series' tables and tile buffers, traced in the worker itself
+    usable_cpus(2)
+    kernel, peaks = correction._dp_kernel, tmp_path / "peaks"
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            tables = kernel(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        with open(peaks, "a") as f:
+            f.write(f"{os.getpid()} {peak}\n")
+        return tables
+
+    monkeypatch.setattr(correction, "_dp_kernel", traced)
+    t, k_max = 5000, 100
+    segment_covariate(_cnv_tracks(2, t, rng), k_max=k_max)
+    pids, sizes = zip(*(map(int, line.split()) for line in peaks.read_text().splitlines()))
+    assert len(set(pids)) == 2 and os.getpid() not in pids
+    assert max(sizes) <= k_max * (8 * (t + 1) + 4 * t) + 4 * (8 * TILE * t)
+
+@pytest.mark.parametrize("k_max", [0, -1])
+def test_k_max_below_one_is_named_before_any_pass(k_max, monkeypatch):
+    # before any pass or dispatch: a worker would surface a remote traceback
+    monkeypatch.setattr(correction, "_fit_batch", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(KTooLarge, match=f"k_max={k_max} "):
+        segment_covariate(track_for({"P1": [0.0, 1.0, 5.0]}), k_max=k_max)
+
+def _mixed_tracks(rng):
+    """Series of four lengths in interleaved input order."""
+    lengths = [450, 7, 450, TILE, 450, 3 * TILE + 5, 7, 450, 450, TILE, 450]
+    return {f"P{i:02d}": (rng.permutation(t) * 10.0, rng.standard_normal(t).cumsum())
+            for i, t in enumerate(lengths)}
+
+def test_worker_count(usable_cpus, monkeypatch):
+    usable_cpus(4)
+    cells, budget = correction.WORKER_CELLS, correction.POOL_TABLE_BYTES
+    # a worker per WORKER_CELLS of fits, at most one per batch and per CPU
+    sizes = [(1, 9 * cells), (3, 9 * cells), (9, 9 * cells), (9, 3 * cells), (9, 2 * cells - 1)]
+    assert [correction._workers(b, c, 1) for b, c in sizes] == [1, 3, 4, 3, 1]
+    # the workers' tables together stay within the budget
+    assert correction._workers(9, 9 * cells, budget // 2) == 2
+    assert correction._workers(9, 9 * cells, budget // 2 + 1) == 1
+    assert correction._workers(0, 0, 0) == 1
+    usable_cpus(1)
+    assert correction._workers(9, 9 * cells, 1) == 1
+    usable_cpus(4)
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert correction._workers(9, 9 * cells, 1) == 1
+
+def test_fit_size_is_the_benchmarks_dp_cells(monkeypatch):
+    # k_max * t**2 per series, and the largest batch's E and B
+    workers = mock.Mock(return_value=1)
+    monkeypatch.setattr(correction, "_workers", workers)
+    rng = np.random.default_rng(2)
+    segment_covariate({**_cnv_tracks(9, 450, rng), "Q": (np.arange(7.0), rng.standard_normal(7))})
+    km = default_k_max(450)
+    workers.assert_called_once_with(3 + 1, 9 * km * 450**2 + 7 * 7**2, 4 * km * (8 * 451 + 4 * 450))
+
+@pytest.mark.parametrize("cgroup, files, cpus", [
+    ("0::/kube/pod/ctr", {"kube/pod/ctr/cpu.max": "max 100000", "kube/cpu.max": "150000 100000"}, 2),
+    ("0::/ctr", {"cpu.max": "50000 100000"}, 1),
+    ("0::/ctr", {"ctr/cpu.max": "1600000 100000"}, 8),
+    ("0::/ctr", {"ctr/cpu.max": "max 100000"}, 8),
+    ("4:cpu,cpuacct:/docker/ab\n0::/", {"cpu/cpu.cfs_quota_us": "300000", "cpu/cpu.cfs_period_us": "100000"}, 3),
+    ("4:cpu,cpuacct:/docker/ab", {"cpu/cpu.cfs_quota_us": "-1", "cpu/cpu.cfs_period_us": "100000"}, 8),
+    ("3:memory:/docker/ab", {"memory/cpu.cfs_quota_us": "100000", "cpu.max": "100000 100000"}, 8),
+    (None, {"cpu.max": "100000 100000"}, 8),
+])
+def test_usable_cpus_honour_a_cgroup_cpu_quota(cgroup, files, cpus, tmp_path, monkeypatch):
+    # 8 CPUs in the affinity mask; a quota in the process's cgroup or any
+    # cgroup above it caps them, rounded up to whole CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    for name, text in files.items():
+        (tmp_path / "fs" / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / "fs" / name).write_text(text + "\n")
+    if cgroup is not None:
+        (tmp_path / "cgroup").write_text(cgroup + "\n")
+    monkeypatch.setattr(correction, "PROC_CGROUP", str(tmp_path / "cgroup"))
+    monkeypatch.setattr(correction, "CGROUP_ROOT", str(tmp_path / "fs"))
+    assert correction.usable_cpus() == cpus
+
+@fork_only
+@pytest.mark.parametrize("batch_points", [100_000, 1])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_pooled_fits_equal_inline_fits(batch_points, workers, monkeypatch):
+    # one job (a batch of 450-point series) and many (a series per job)
+    tracks = _mixed_tracks(np.random.default_rng(7))
+    if batch_points > 450:
+        tracks = {p: track for p, track in tracks.items() if len(track[1]) == 450}
+    monkeypatch.setattr(correction, "BATCH_POINTS", batch_points)
+    monkeypatch.setattr(correction, "_workers", lambda *fit_size: 1)
+    inline = segment_covariate(tracks, k_max=12)
+    monkeypatch.setattr(correction, "_workers", lambda *fit_size: workers)
+    pooled = segment_covariate(tracks, k_max=12)
+    assert [fit.patient for fit in pooled] == list(tracks)
+    assert len(pooled) == len(inline) and all(map(fits_equal, pooled, inline))
+    assert multiprocessing.active_children() == []
+
+class KernelFault(Exception):
+    """Raised by a patched kernel inside a worker."""
+
+@fork_only
+def test_worker_fault_reaches_the_caller_and_leaves_no_worker(monkeypatch):
+    parent, kernel = os.getpid(), correction._dp_kernel
+
+    def faulty(*args):
+        if os.getpid() != parent:
+            raise KernelFault("kernel fault in a worker")
+        return kernel(*args)
+
+    monkeypatch.setattr(correction, "_dp_kernel", faulty)
+    monkeypatch.setattr(correction, "_workers", lambda *fit_size: 2)
+    with pytest.raises(KernelFault, match="in a worker"):
+        segment_covariate(_mixed_tracks(np.random.default_rng(3)))
+    assert multiprocessing.active_children() == []
+
+@fork_only
+def test_fits_from_a_daemonic_worker_run_inline(usable_cpus, monkeypatch):
+    # a daemonic process may not have children, so its fits run inline
+    # where any other process would start a pool
+    usable_cpus(4)
+    monkeypatch.setattr(correction, "WORKER_CELLS", 1)
+    tracks = _mixed_tracks(np.random.default_rng(5))
+    expected = segment_covariate(tracks)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        fits = pool.apply_async(segment_covariate, (tracks,)).get(timeout=60)
+    assert len(fits) == len(expected) and all(map(fits_equal, fits, expected))
+
+def test_import_leaves_the_pool_modules_out():
+    # they cost 10-15 ms that every command would pay at start-up
+    code = ("import sys, corrseg.cli; "
+            "assert 'concurrent.futures' not in sys.modules and 'multiprocessing' not in sys.modules")
+    src = os.path.dirname(os.path.dirname(correction.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 def test_unsorted_positions_are_sorted():
     pos = np.array([30.0, 10.0, 20.0])

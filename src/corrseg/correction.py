@@ -28,6 +28,7 @@ from .segment import (
     _dp_kernel,
     _tile_views,
     default_k_max,
+    pass_size,
     penalty,
     slope_change_choice,
 )
@@ -56,9 +57,8 @@ class PatientFit:
         return np.repeat(np.arange(len(self.means)), np.diff(self.breakpoints))
 
 
-# points per batched kernel call: at t = 450 a batch of 4 series keeps each
-# (4, TILE, 450) tile near 0.5 MB, the size of a p = 2000 expression tile;
-# from t = BATCH_POINTS on a batch is one series
+# points per batched kernel pass, BATCH_POINTS // t series of t points (at
+# least one), so its tiles stay near a p = 2048 expression pass's, 0.5 MB
 BATCH_POINTS = 2048
 
 
@@ -109,13 +109,12 @@ def _fit_batch(job: tuple[np.ndarray, int, float, bool]) -> list[list[int]]:
     return [_backtrack(Bj, k, t) for Bj, k in zip(B, ks)]
 
 
-# DP cells (k_max * t**2 per series, as the benchmark's correction.dp_cells
-# counts them) a worker process must get to pay for its start-up: on 2 CPUs
-# pooled fits broke even with inline ones between 24 and 64 million cells
-# (about 50 ms of fits), so two workers need 64 million
+# DP cells (`pass_size`'s) a worker process must get to pay for its start-up:
+# on 2 CPUs pooled fits broke even with inline ones between 24 and 64 million
+# cells (about 50 ms of fits), so two workers need 64 million
 WORKER_CELLS = 32_000_000
-# the DP tables (E and B) of the batches the workers hold at once stay
-# within this, or within one batch where one batch is larger
+# the DP tables of the batches the workers hold at once stay within this, or
+# within one batch where one batch is larger
 POOL_TABLE_BYTES = 512 * 2**20
 # where Linux lists this process's cgroups and mounts their controllers
 PROC_CGROUP = "/proc/self/cgroup"
@@ -158,10 +157,7 @@ def usable_cpus() -> int:
 
 
 def _workers(batches: int, cells: int, table_bytes: int) -> int:
-    """Worker processes to fit the batches in; 1 means inline.
-
-    cells counts the fits' DP cells; table_bytes is the largest batch's tables.
-    """
+    """Workers for the batches (1: inline): cells are all fits', table_bytes the largest batch's."""
     if sys.platform != "linux":
         # fork is unsafe under macOS system libraries and absent on Windows
         return 1
@@ -210,9 +206,8 @@ def segment_covariate(
             km = min(max(1, fixed_k), t)
         size = max(1, BATCH_POINTS // t)
         batches += [(members[a : a + size], km) for a in range(0, len(members), size)]
-        cells += len(members) * km * t * t
-        # the kernel's E (float64) and B (int32) for one batch
-        table_bytes = max(table_bytes, min(size, len(members)) * km * (8 * (t + 1) + 4 * t))
+        cells += pass_size(t, km, len(members))[0]
+        table_bytes = max(table_bytes, pass_size(t, km, min(size, len(members)))[1])
     # built lazily, so an inline run holds one batch's stack at a time
     jobs = ((np.stack([tracks[i][2] for i in batch]), km, S, fixed_k is not None)
             for batch, km in batches)

@@ -119,12 +119,17 @@ class Segmentation:
         return list(zip(self.breakpoints[:-1], self.breakpoints[1:]))
 
 
-# Memory of one `_expression_dp` pass, in bytes: 8*(p+1)^2 for the Gram
-# prefix, 8*k_max*(p+1) for E (D) and 4*k_max*p for the int32 B, plus a few
-# tile buffers of 8*TILE*p each, allocated once per pass: M here and four in
-# the cost closure, with one transient gather inside `block_sums`. A batched
-# `_rss_cost` pass of t points: batch*(8*k_max*(t+1) + 4*k_max*t), M and two
-# segment sums of batch*8*TILE*t each, and a transient 8*TILE*t length tile.
+def pass_size(m: int, k_max: int, batch: int = 1) -> tuple[int, int, int]:
+    """(cells, table_bytes, tile_bytes) of one `_dp_kernel` pass over m points.
+
+    cells, batch*k_max*m^2, is the unit of the benchmark's correction.dp_cells
+    (the kernel visits about half). The tables are E (float64, with its +inf
+    column) and the int32 B. A pass allocates its tile buffers once: the
+    kernel's M, and four in the expression cost closure or two in `_rss_cost`'s;
+    a cost call adds one transient. An expression pass adds its Gram prefix.
+    """
+    return batch * k_max * m * m, batch * k_max * (8 * (m + 1) + 4 * m), batch * 8 * TILE * m
+
 def _dp_kernel(cost, m: int, k_max: int, min_seg_len: int, batch: int | None = None):
     """Optimal segmentations of m points into 1..k_max segments, one pass.
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ExpressionMatrix
-from .errors import GridMismatch, InvalidLoadings
+from .errors import GridMismatch, InvalidLoadings, ValidationError
 from .significance import RegionReport
 
 
@@ -74,6 +74,8 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed} must be >= 0")
         if self.n < 3:
             raise ValueError(f"need n >= 3 patients, got {self.n}")
         if np.isnan(self.rho1):
@@ -116,6 +118,8 @@ def default_scenario(
     a per-chromosome background level uniformly from [0.08, 0.28] instead
     of using the shared scalar.
     """
+    if seed < 0:  # before scenario 2 seeds a generator with it
+        raise ValueError(f"seed={seed} must be >= 0")
     chroms = []
     for c, w in enumerate(DEFAULT_WIDTHS):
         if w >= p // 3:
@@ -205,6 +209,10 @@ def _gene_scores(
         if r.end > len(row):
             raise GridMismatch(
                 f"region {r.start}-{r.end} exceeds {r.chromosome} length {len(row)}"
+            )
+        if r.tested and not 0.0 <= r.p_value <= 1.0:
+            raise ValidationError(
+                f"region {r.start}-{r.end} on {r.chromosome}: p_value {r.p_value} outside [0, 1]"
             )
         row[r.start - 1 : r.end] = r.p_value if r.tested else np.inf
     names = sorted(truth_by_chrom)

@@ -1,4 +1,4 @@
-"""Acceptance gate: ten headline behaviors, one test per criterion.
+"""Acceptance gate: eleven headline behaviors, one test per criterion.
 
 `pytest tests/test_acceptance.py -v` prints one pass/fail line per
 criterion. Every check is stated against an oracle that does not share
@@ -21,7 +21,7 @@ from conftest import as_matrix, blocked_matrix, cost_grid, cs_block
 from corrseg import io
 from corrseg.cli import main
 from corrseg.core import ExpressionMatrix, block_sums, build_gram_prefix, standardize
-# test_all / test_statistic are aliased so pytest does not collect them
+# test_all / test_regions / test_statistic are aliased so pytest does not collect them
 from corrseg.pipeline import (
     correct_view,
     segment_all,
@@ -34,6 +34,7 @@ from corrseg.significance import (
     lambda_factor,
     p_value,
     power,
+    test_regions as region_tests,
     test_statistic as region_statistic,
 )
 from corrseg.simulate import (
@@ -370,3 +371,31 @@ def test_c10_byte_identical_runs_all_subcommands(tmp_path, monkeypatch):
     assert sorted(first) == sorted(second)
     mismatched = [name for name in first if first[name] != second[name]]
     assert not mismatched, f"outputs differ between runs: {mismatched}"
+
+
+def test_c11_pipeline_null_calibration():
+    """Segments the DP chose that hold no H1 gene: raw p <= 0.05 at most at
+    the binomial(N, 0.05) 99.5% quantile, with rho0 estimated and true."""
+    t0 = time.monotonic()
+    bounds, pvals = [], {"estimated": [], "true": []}
+    for seed in range(20):
+        spec = default_scenario(scenario=1, seed=seed)
+        ann = {g: (c, float(s), float(e)) for g, c, s, e in annotation_rows(spec)}
+        truth = spec.truth_by_chromosome()
+        for res in segment_all(split_by_chromosome(generate(spec), ann)):
+            segments = res.segmentation.segments()
+            null = [k for k, (a, b) in enumerate(segments)
+                    if b - a >= 2 and not truth[res.name][a:b].any()]
+            bounds += [segments[k] for k in null]
+            for name, rho0 in (("estimated", None), ("true", 0.08)):
+                reports = region_tests(res.matrix, res.segmentation, res.name, rho0)
+                pvals[name] += [reports[k].p_value for k in null]
+    narrow = np.array([b - a <= 10 for a, b in bounds])
+    hi = scipy.stats.binom.ppf(0.995, len(bounds), 0.05)
+    for name, p in pvals.items():
+        called = np.array(p) <= 0.05
+        assert called.sum() <= hi, (
+            f"rho0 {name}: {called.sum()} of {len(p)} H0 segments at p <= 0.05, above {hi}; "
+            f"narrow (<= 10 genes): {called[narrow].sum()} of {narrow.sum()}"
+        )
+    assert time.monotonic() - t0 < 120.0

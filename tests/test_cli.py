@@ -605,6 +605,18 @@ class TestSimulateCommand:
         assert main(["simulate", "--p", "150", "--rho1", "nan", "--out", str(tmp_path)]) == 3
         assert "rho1=nan must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "scenario 2", "spec"])
+    def test_negative_seed_named_exit_3(self, tmp_path, capsys, source):
+        # numpy's generators reject a negative seed with a message naming no seed
+        argv = {
+            "flag": ["--p", "150", "--seed", "-1"],
+            "scenario 2": ["--p", "150", "--scenario", "2", "--seed", "-1"],
+            "spec": ["--spec", str(write_spec(tmp_path / "spec.json",
+                                              [{"name": "c", "p": 12}], 0.1, 0.8, 25, -1))],
+        }[source]
+        assert main(["simulate", *argv, "--out", str(tmp_path)]) == 3
+        assert "seed=-1 must be >= 0" in capsys.readouterr().err
+
 
 class TestEvaluateCommand:
     def test_scores_a_detected_block(self, tmp_path):
@@ -656,6 +668,21 @@ class TestEvaluateCommand:
                      "--out", str(tmp_path)])
         assert code == 3
         assert f"{regions}: row 2: bad {column} 'abc'\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p_value", ["1.5", "-3", "NA"])
+    def test_impossible_p_value_named_exit_3(self, tmp_path, capsys, p_value):
+        # read_regions keeps any float; a tested region's p-value must be one
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("gene\tchromosome\tlabel\nchr1_g1\tchr1\tH0\nchr1_g2\tchr1\tH1\n")
+        regions = tmp_path / "regions.tsv"
+        regions.write_text("chromosome\tstart\tend\tp_value\ttested\n"
+                           f"chr1\t1\t1\t{p_value}\ttrue\nchr1\t2\t2\t0.01\ttrue\n")
+        code = main(["evaluate", "--truth", str(truth), "--regions", str(regions),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "region 1-1 on chr1: p_value" in (err := capsys.readouterr().err)
+        assert "outside [0, 1]" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestPowerCommand:

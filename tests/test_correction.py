@@ -34,6 +34,7 @@ from corrseg.segment import (
     _backtrack,
     _dp_kernel,
     default_k_max,
+    pass_size,
     penalty,
     rho_hat,
     slope_change_choice,
@@ -244,18 +245,15 @@ def usable_cpus(monkeypatch):
 fork_only = pytest.mark.skipif(sys.platform != "linux", reason="worker processes fork only on Linux")
 
 def test_covariate_memory_stays_near_one_batch(rng, usable_cpus):
-    # the formula beside `_dp_kernel`: one batch's E (float64) and B (int32)
-    # plus M and the two segment sums, with a fourth batch tile for the
-    # transient length tile and numpy's iteration buffers; the fits keep
-    # every series' sorted positions and values. tracemalloc sees only this
-    # process, so the fits run inline, on one usable CPU
+    # one batch's tables plus M and the two segment sums, with a fourth tile
+    # buffer for the transient length tile and numpy's iteration buffers; the
+    # fits keep every series' sorted positions and values. tracemalloc sees
+    # only this process, so the fits run inline, on one usable CPU
     usable_cpus(1)
     n, t = 58, 450
-    k_max = default_k_max(t)
-    batch = correction.BATCH_POINTS // t
+    _, tables, tile = pass_size(t, default_k_max(t), correction.BATCH_POINTS // t)
     peak = _traced_peak(segment_covariate, _cnv_tracks(n, t, rng))
-    tables = batch * (8 * k_max * (t + 1) + 4 * k_max * t)
-    assert peak <= tables + 4 * (8 * TILE * t * batch) + 16 * n * t
+    assert peak <= tables + 4 * tile + 16 * n * t
 
 def test_large_series_are_fitted_one_at_a_time(rng, usable_cpus):
     # from t = BATCH_POINTS on a batch is one series; a pass at t = 5000 and
@@ -290,7 +288,8 @@ def test_pool_workers_hold_one_series_at_large_t(rng, usable_cpus, monkeypatch, 
     segment_covariate(_cnv_tracks(2, t, rng), k_max=k_max)
     pids, sizes = zip(*(map(int, line.split()) for line in peaks.read_text().splitlines()))
     assert len(set(pids)) == 2 and os.getpid() not in pids
-    assert max(sizes) <= k_max * (8 * (t + 1) + 4 * t) + 4 * (8 * TILE * t)
+    _, tables, tile = pass_size(t, k_max)
+    assert max(sizes) <= tables + 4 * tile
 
 @pytest.mark.parametrize("k_max", [0, -1])
 def test_k_max_below_one_is_named_before_any_pass(k_max, monkeypatch):

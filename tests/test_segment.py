@@ -9,6 +9,7 @@ import pytest
 
 from corrseg.core import block_sums, build_gram_prefix, standardize
 from corrseg import segment
+from corrseg.correction import _rss_cost
 from corrseg.errors import DegenerateNormalizationWarning, KTooLarge
 from corrseg.pipeline import segment_chromosome
 from corrseg.segment import (
@@ -18,6 +19,7 @@ from corrseg.segment import (
     _dp_kernel,
     default_k_max,
     dp_segment,
+    pass_size,
     penalty,
     rho_hat,
     segmentation_from_breakpoints,
@@ -292,9 +294,20 @@ def test_kernel_matches_reference_dp_across_tiles(min_seg_len):
         assert np.array_equal(B[finite], B_ref[finite])
     assert finite[-1].any() == (min_seg_len == 1)
 
+@pytest.mark.parametrize("m, k_max, batch, nbytes", [
+    (200, 20, None, 48160), (1000, 100, None, 1200800), (450, 45, 4, 973440), (5000, 100, 1, 6000800),
+])
+def test_pass_size_is_the_tables_a_pass_allocates(m, k_max, batch, nbytes, rng):
+    # an expression pass (no batch) and batched `_rss_cost` passes: E, whose
+    # view D drops its +inf column, and B
+    if batch is None:
+        _, D, B = segment._expression_dp(std_for(rng.standard_normal((58, m))), k_max, 1)
+    else:
+        D, B = _dp_kernel(_rss_cost(rng.standard_normal((batch, m))), m, k_max, 1, batch)
+    assert pass_size(m, k_max, batch or 1)[1] == D.base.nbytes + B.nbytes == nbytes
+
 def test_select_k_memory_stays_near_prefix_plus_tables():
-    # the formula beside `_dp_kernel`: the prefix, E (float64) and B (int32),
-    # plus at most eight tile buffers of 8*TILE*p bytes for one pass
+    # the Gram prefix, the pass's tables and at most eight tile buffers
     p = 1000
     k_max = default_k_max(p)
     m = std_for(blocked_matrix(58, p, [(100, 400)], 0.05, 0.7, np.random.default_rng(5)))
@@ -304,8 +317,8 @@ def test_select_k_memory_stays_near_prefix_plus_tables():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    tables = 8 * (p + 1) ** 2 + 8 * k_max * (p + 1) + 4 * k_max * p
-    assert peak <= tables + 8 * (8 * TILE * p)
+    _, tables, tile = pass_size(p, k_max)
+    assert peak <= 8 * (p + 1) ** 2 + tables + 8 * tile
 
 @pytest.mark.parametrize("min_seg_len", [1, 2])
 def test_selection_segments_from_the_same_pass(rng, monkeypatch, min_seg_len):

@@ -19,8 +19,8 @@ _EPS = 1e-16
 _TINY = 1e-300
 
 
-def _lower_regularized_series(a: float, x: float) -> float:
-    """P(a, x) by the power series; use for x < a + 1."""
+def _lower_series(a: float, x: float) -> float:
+    """P(a, x) over its prefactor, by the power series; use for x < a + 1."""
     ap = a
     term = 1.0 / a
     total = term
@@ -30,10 +30,10 @@ def _lower_regularized_series(a: float, x: float) -> float:
         total += term
         if abs(term) < abs(total) * _EPS:
             break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    return total
 
-def _upper_regularized_cf(a: float, x: float) -> float:
-    """Q(a, x) by Lentz's continued fraction; use for x >= a + 1."""
+def _upper_cf(a: float, x: float) -> float:
+    """Q(a, x) over its prefactor, by Lentz's continued fraction; use for x >= a + 1."""
     b = x + 1.0 - a
     c = 1.0 / _TINY
     d = 1.0 / b
@@ -52,31 +52,18 @@ def _upper_regularized_cf(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    return h
 
-def lower_regularized(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x)."""
-    if a <= 0:
-        raise ValueError(f"shape parameter must be positive, got {a}")
-    if x < 0:
-        raise ValueError(f"negative argument {x}")
-    if x == 0.0:
-        return 0.0
+def _regularized_gamma(a: float, x: float) -> tuple[float, float]:
+    """Regularized incomplete gamma (P(a, x), Q(a, x)) for a > 0, x >= 0."""
+    if x == 0.0:  # x / 2 of a subnormal chi-square argument; log(0) would raise
+        return 0.0, 1.0
+    prefactor = math.exp(-x + a * math.log(x) - math.lgamma(a))
     if x < a + 1.0:
-        return _lower_regularized_series(a, x)
-    return 1.0 - _upper_regularized_cf(a, x)
-
-def upper_regularized(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    if a <= 0:
-        raise ValueError(f"shape parameter must be positive, got {a}")
-    if x < 0:
-        raise ValueError(f"negative argument {x}")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _lower_regularized_series(a, x)
-    return _upper_regularized_cf(a, x)
+        lower = _lower_series(a, x) * prefactor
+        return lower, 1.0 - lower
+    upper = _upper_cf(a, x) * prefactor
+    return 1.0 - upper, upper
 
 
 @dataclass(frozen=True)
@@ -101,13 +88,13 @@ class ChiSquare:
     def cdf(self, x: float) -> float:
         if x <= 0:
             return 0.0
-        return lower_regularized(self.df / 2.0, x / 2.0)
+        return _regularized_gamma(self.df / 2.0, x / 2.0)[0]
 
     def sf(self, x: float) -> float:
         """Upper-tail probability P(X > x)."""
         if x <= 0:
             return 1.0
-        return upper_regularized(self.df / 2.0, x / 2.0)
+        return _regularized_gamma(self.df / 2.0, x / 2.0)[1]
 
     def quantile(self, q: float) -> float:
         """Inverse cdf by bracketed Newton iteration.

@@ -274,7 +274,7 @@ def _parse_grid(text: str, cast, flag: str, domain: str, ok) -> list:
     return values
 
 def cmd_power(config: RunConfig, n_grid: str, p_grid: str, rho_grid: str, alpha_grid: str) -> int:
-    rho0 = config.rho0 if config.rho0 is not None else 0.15
+    rho0 = config.rho0
     ns = _parse_grid(n_grid, int, "--n", "be >= 2", lambda n: n >= 2)
     ps = _parse_grid(p_grid, int, "--p", "be >= 1", lambda p: p >= 1)
     # compound symmetry is positive definite for -1/(p-1) < rho < 1
@@ -315,14 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--annotation", help="gene -> chromosome, start[, end] table")
             p.add_argument("--transpose", action="store_true",
                            help="input has genes as rows, patients as columns")
-        p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--out", help="output directory")
 
     p_seg = sub.add_parser("segment", help="segment chromosomes into correlation blocks")
     add_common(p_seg, needs_input=True)
-    p_seg.add_argument("--S", type=float, default=0.7, help="slope-change threshold")
+    p_seg.add_argument("--S", type=float, help="slope-change threshold")
     p_seg.add_argument("--kmax", type=int, help="max segments per chromosome")
-    p_seg.add_argument("--min-seg", type=int, default=1, help="minimum segment length")
-    p_seg.add_argument("--rule", choices=["largest", "smallest"], default="largest",
+    p_seg.add_argument("--min-seg", type=int, help="minimum segment length")
+    p_seg.add_argument("--rule", choices=["largest", "smallest"],
                        help="which qualifying slope change picks K")
     p_seg.add_argument("--trace", action="store_true", help="dump selection diagnostics")
 
@@ -330,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_test, needs_input=True)
     p_test.add_argument("--segmentation", required=True,
                         help="segmentation TSV from the segment step (or external)")
-    p_test.add_argument("--alpha", type=float, default=0.05, help="significance level")
-    p_test.add_argument("--adjust", choices=["bh", "bonferroni", "none"], default="bh",
+    p_test.add_argument("--alpha", type=float, help="significance level")
+    p_test.add_argument("--adjust", choices=["bh", "bonferroni", "none"],
                         help="multiple-testing adjustment")
     p_test.add_argument("--rho0", type=float,
                         help="fixed background correlation (default: estimated per chromosome)")
@@ -342,23 +342,22 @@ def build_parser() -> argparse.ArgumentParser:
                        help="long TSV (patient[, chromosome], position, value) or wide matrix")
     p_cor.add_argument("--covariate-positions",
                        help="positions file when --covariate is a wide matrix")
-    p_cor.add_argument("--mode", choices=["pooled", "per-gene"], default="pooled",
+    p_cor.add_argument("--mode", choices=["pooled", "per-gene"],
                        help="one regression per chromosome or per gene")
-    p_cor.add_argument("--half-width", type=float, default=0.0,
+    p_cor.add_argument("--half-width", type=float,
                        help="probe-matching window around point gene positions")
-    p_cor.add_argument("--S", type=float, default=0.7,
-                       help="slope-change threshold for covariate segmentation")
+    p_cor.add_argument("--S", type=float, help="slope-change threshold for covariate segmentation")
     p_cor.add_argument("--kmax", type=int, help="max segments per covariate series")
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic dataset with known truth")
     add_common(p_sim, needs_input=False)
-    p_sim.add_argument("--scenario", type=int, choices=[1, 2], default=1,
+    p_sim.add_argument("--scenario", type=int, choices=[1, 2],
                        help="1: shared background; 2: per-chromosome background")
     p_sim.add_argument("--rho0", type=float, help="background correlation (scenario 1)")
-    p_sim.add_argument("--rho1", type=float, default=0.7, help="within-block correlation")
-    p_sim.add_argument("--n", type=int, default=58, help="number of patients")
-    p_sim.add_argument("--p", type=int, default=500, help="genes per chromosome")
-    p_sim.add_argument("--seed", type=int, default=0, help="generator seed")
+    p_sim.add_argument("--rho1", type=float, help="within-block correlation")
+    p_sim.add_argument("--n", type=int, help="number of patients")
+    p_sim.add_argument("--p", type=int, help="genes per chromosome")
+    p_sim.add_argument("--seed", type=int, help="generator seed")
     p_sim.add_argument("--spec", help="scenario spec JSON (overrides the flags above)")
 
     p_eval = sub.add_parser("evaluate", help="score region calls against a known truth")

@@ -261,6 +261,13 @@ def read_annotation(path: str | Path) -> dict[str, tuple[str, float, float | Non
         fallbacks=(("gene", "chromosome", "start"), ("gene", "chromosome", "start", "end")),
         error=IngestionError,
     )
+    backwards = np.flatnonzero(np.array(cols["end"]) < cols["start"])
+    if backwards.size:
+        i = backwards[0]
+        raise IngestionError(
+            f"{path}: row {lines[i]}: gene {cols['gene'][i]!r} ends at {cols['end'][i]}, "
+            f"before its start {cols['start'][i]}"
+        )
     out: dict[str, tuple[str, float, float | None]] = {}
     first_row: dict[str, int] = {}
     for gene, chrom, start, end, line in zip(

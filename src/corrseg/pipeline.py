@@ -94,22 +94,6 @@ class ChromosomeResult:
     trace: SelectionTrace | None
 
 
-def segment_chromosome(
-    matrix: ExpressionMatrix,
-    name: str = "all",
-    S: float = 0.7,
-    k_max: int | None = None,
-    rule: str = "largest",
-    min_seg_len: int = 1,
-) -> ChromosomeResult:
-    """Standardize, choose K and segment, in one DP pass."""
-    std = standardize(matrix)
-    try:
-        trace = select_k(std, k_max=k_max, S=S, rule=rule, min_seg_len=min_seg_len)
-    except KTooLarge as exc:
-        raise KTooLarge(f"chromosome {name!r}: {exc}") from exc
-    return ChromosomeResult(name=name, matrix=std, segmentation=trace.segmentation, trace=trace)
-
 def segment_all(
     views: list[ChromosomeView],
     S: float = 0.7,
@@ -117,12 +101,16 @@ def segment_all(
     rule: str = "largest",
     min_seg_len: int = 1,
 ) -> list[ChromosomeResult]:
-    return [
-        segment_chromosome(
-            v.matrix, v.name, S=S, k_max=k_max, rule=rule, min_seg_len=min_seg_len
-        )
-        for v in views
-    ]
+    """Standardize each chromosome, then choose K and segment in one DP pass."""
+    results = []
+    for view in views:
+        std = standardize(view.matrix)
+        try:
+            trace = select_k(std, k_max=k_max, S=S, rule=rule, min_seg_len=min_seg_len)
+        except KTooLarge as exc:
+            raise KTooLarge(f"chromosome {view.name!r}: {exc}") from exc
+        results.append(ChromosomeResult(view.name, std, trace.segmentation, trace))
+    return results
 
 
 def segmentation_rows(results: list[ChromosomeResult]) -> list[dict]:

@@ -149,12 +149,19 @@ def test_regions(
         )
     n = matrix.n
     tested = matrix.p >= 2
+    source = "given" if rho0 is not None else "estimated; pass rho0 (--rho0) to set it"
     if tested and rho0 is None:
         rho0 = estimate_rho0(matrix)
     reports = []
     for k, (a, b) in enumerate(segmentation.segments()):
         p_k = b - a
         T = test_statistic(matrix, a, b)
+        try:
+            p_val = p_value(T, p_k, rho0, n) if tested else math.nan
+        except InvalidRho0 as exc:
+            raise InvalidRho0(
+                f"chromosome {chromosome!r}, region {a + 1}-{b}: {exc}; rho0 was {source}"
+            ) from exc
         reports.append(
             RegionReport(
                 chromosome=chromosome,
@@ -165,7 +172,7 @@ def test_regions(
                 rho0_used=rho0 if tested else math.nan,
                 T_obs=T,
                 lambda0=lambda_factor(p_k, rho0, n) if tested else math.nan,
-                p_value=p_value(T, p_k, rho0, n) if tested else math.nan,
+                p_value=p_val,
                 tested=tested,
             )
         )

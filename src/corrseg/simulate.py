@@ -206,20 +206,25 @@ def _gene_scores(
         if r.chromosome not in scores:
             raise GridMismatch(f"report for unknown chromosome {r.chromosome!r}")
         row = scores[r.chromosome]
-        if r.end > len(row):
+        if not 1 <= r.start <= r.end <= len(row):
             raise GridMismatch(
-                f"region {r.start}-{r.end} exceeds {r.chromosome} length {len(row)}"
+                f"region {r.start}-{r.end} on {r.chromosome}: bounds must satisfy"
+                f" 1 <= start <= end <= {len(row)}"
             )
+        if not np.isnan(row[r.start - 1 : r.end]).all():
+            raise GridMismatch(f"region {r.start}-{r.end} on {r.chromosome} overlaps another region")
         if r.tested and not 0.0 <= r.p_value <= 1.0:
             raise ValidationError(
                 f"region {r.start}-{r.end} on {r.chromosome}: p_value {r.p_value} outside [0, 1]"
             )
         row[r.start - 1 : r.end] = r.p_value if r.tested else np.inf
     names = sorted(truth_by_chrom)
+    for name in names:
+        uncovered = np.flatnonzero(np.isnan(scores[name]))
+        if uncovered.size:
+            raise GridMismatch(f"gene {uncovered[0] + 1} on {name} is in no region")
     truth = np.concatenate([truth_by_chrom[name] for name in names])
     score = np.concatenate([scores[name] for name in names])
-    if np.isnan(score).any():
-        raise GridMismatch("region reports do not cover every gene")
     return truth, score
 
 def _roc(score: np.ndarray, rates: Callable[[np.ndarray], tuple[float, float]]) -> RocCurve:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ import pytest
 from corrseg import correction, io, segment
 from corrseg.cli import main
 from corrseg.core import ExpressionMatrix
-from corrseg.pipeline import segment_all, segmentation_rows, split_by_chromosome
+from corrseg.pipeline import correct_view, segment_all, segmentation_rows, split_by_chromosome
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TOY_EXPR = FIXTURES / "toy_expression.tsv"
@@ -222,6 +223,24 @@ class TestSegmentCommand:
         assert "chr1_g3" in err
         assert f"rows {first} and {len(rows) + 2}" in err
 
+    def test_annotation_end_before_start_exit_2(self, tmp_path, capsys):
+        rows = read_tsv(TOY_ANN)
+        body = [[r["gene_id"], r["chromosome"], r["start"], r["end"]] for r in rows]
+        body[0][3] = body[0][2]  # end == start is a point gene and stays valid
+        body[4][2], body[4][3] = body[4][3], body[4][2]
+        ann = tmp_path / "backwards.tsv"
+        io.write_rows(ann, ["gene_id", "chromosome", "start", "end"], body)
+        code = main(["segment", "--input", str(TOY_EXPR),
+                     "--annotation", str(ann), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{ann}: row 6: gene {body[4][0]!r} ends at" in err
+        assert "before its start" in err
+        body[4][2], body[4][3] = body[4][3], body[4][2]
+        io.write_rows(ann, ["gene_id", "chromosome", "start", "end"], body)
+        assert main(["segment", "--input", str(TOY_EXPR),
+                     "--annotation", str(ann), "--out", str(tmp_path)]) == 0
+
     def test_bad_threshold_exit_3(self, tmp_path):
         code = main(["segment", "--input", str(TOY_EXPR), "--S", "0",
                      "--out", str(tmp_path)])
@@ -321,6 +340,34 @@ class TestTestCommand:
         assert code == 3
         assert ("chromosome 'chr1': segmentation covers genes 2-60, expected 1-60\n"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("rho0, source", [
+        (None, "rho0 was estimated; pass rho0 (--rho0) to set it"),
+        ("1.5", "rho0 was given"),
+        ("-0.9", "rho0 was given"),  # admissible at width 2, not at width 3
+    ], ids=["estimated", "given-above", "given-below"])
+    def test_inadmissible_rho0_names_region(self, tmp_path, capsys, rho0, source):
+        # six multiples of one +-1 patient factor: every adjacent r is exactly 1
+        b = np.tile([1.0, -1.0], 10)[:, None]
+        genes = tuple(f"g{j + 1}" for j in range(6))
+        io.write_matrix(tmp_path / "expr.tsv", ExpressionMatrix(
+            values=b * np.arange(1.0, 7.0), gene_ids=genes,
+            patient_ids=tuple(f"P{i + 1}" for i in range(20))))
+        io.write_rows(tmp_path / "ann.tsv", ["gene", "chromosome", "start"],
+                      [[g, "chr7", 100 * j] for j, g in enumerate(genes)])
+        io.write_rows(tmp_path / "seg.tsv", ["chromosome", "start", "end"],
+                      [["chr7", 1, 3], ["chr7", 4, 6]])
+        code = main([
+            "test", "--input", str(tmp_path / "expr.tsv"),
+            "--annotation", str(tmp_path / "ann.tsv"),
+            "--segmentation", str(tmp_path / "seg.tsv"), "--out", str(tmp_path / "out"),
+            *([] if rho0 is None else ["--rho0", rho0]),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "chromosome 'chr7', region 1-3: rho0=" in err
+        assert "outside (-0.5, 1) for region width 3" in err
+        assert err.endswith(f"; {source}\n")
 
     def test_null_fixture_calibration(self, tmp_path):
         """No H1 blocks: few regions should be flagged at alpha = 0.05."""
@@ -424,6 +471,27 @@ class TestCorrectCommand:
         corrected = io.read_expression(tmp_path / "corrected.tsv")
         resid = (Y.ravel() - A @ expected).reshape(Y.shape)
         assert corrected.values == pytest.approx(resid, abs=1e-9)
+
+    def test_per_gene_matches_direct_library_calls(self, tmp_path):
+        expr, ann, cov, _, _ = self._toy_inputs(tmp_path)
+        code = main([
+            "correct", "--input", str(expr), "--annotation", str(ann),
+            "--covariate", str(cov), "--mode", "per-gene", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        matrix = io.read_expression(expr)
+        [view] = split_by_chromosome(matrix, io.read_annotation(ann))
+        corrected, info = correct_view(view, io.read_covariate_long(cov)["chr1"], mode="per-gene")
+        values = np.array(matrix.values, copy=True)
+        values[:, view.columns] = corrected.values
+        io.write_matrix(tmp_path / "direct.tsv", replace(matrix, values=values))
+        io.write_json(tmp_path / "direct.json", {"chr1": info})
+        for direct, written in (("direct.tsv", "corrected.tsv"), ("direct.json", "correction.json")):
+            assert (tmp_path / direct).read_bytes() == (tmp_path / written).read_bytes()
+        sidecar = json.loads((tmp_path / "correction.json").read_text())["chr1"]
+        assert sidecar["mode"] == "per-gene"
+        assert len(sidecar["beta"]) == matrix.p
+        assert all(len(beta) == 2 for beta in sidecar["beta"])
 
     def test_step_breakpoint_in_sidecar(self, tmp_path):
         expr, ann, cov, _, _ = self._toy_inputs(tmp_path, step=True)
@@ -668,6 +736,25 @@ class TestEvaluateCommand:
                      "--out", str(tmp_path)])
         assert code == 3
         assert f"{regions}: row 2: bad {column} 'abc'\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bounds, message", [
+        ([(1, 3, 0.5), (3, 1, 0.01)], "region 3-1 on chr1: bounds must satisfy 1 <= start"),
+        ([(1, 3, 0.5), (2, 2, 0.01)], "region 2-2 on chr1 overlaps another region"),
+        ([(0, 3, 0.5)], "region 0-3 on chr1: bounds must satisfy 1 <= start <= end <= 3"),
+        ([(1, 1, 0.5), (3, 3, 0.01)], "gene 2 on chr1 is in no region"),
+    ], ids=["backwards", "overlap", "zero-start", "uncovered"])
+    def test_region_bounds_checked_exit_3(self, tmp_path, capsys, bounds, message):
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("gene\tchromosome\tlabel\n"
+                         "g1\tchr1\tH0\ng2\tchr1\tH1\ng3\tchr1\tH0\n")
+        regions = tmp_path / "regions.tsv"
+        regions.write_text("chromosome\tstart\tend\tp_value\n" + "".join(
+            f"chr1\t{a}\t{b}\t{p}\n" for a, b, p in bounds))
+        code = main(["evaluate", "--truth", str(truth), "--regions", str(regions),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert f"validation error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("p_value", ["1.5", "-3", "NA"])
     def test_impossible_p_value_named_exit_3(self, tmp_path, capsys, p_value):

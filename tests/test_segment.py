@@ -11,7 +11,7 @@ from corrseg.core import block_sums, build_gram_prefix, standardize
 from corrseg import segment
 from corrseg.correction import _rss_cost
 from corrseg.errors import DegenerateNormalizationWarning, KTooLarge
-from corrseg.pipeline import segment_chromosome
+from corrseg.pipeline import segment_all, split_by_chromosome
 from corrseg.segment import (
     LOG_EPS,
     TILE,
@@ -332,7 +332,8 @@ def test_selection_segments_from_the_same_pass(rng, monkeypatch, min_seg_len):
 
     monkeypatch.setattr(segment, "_dp_kernel", counted)
     vals = blocked_matrix(58, 90, [(20, 45), (60, 75)], 0.05, 0.8, rng)
-    res = segment_chromosome(as_matrix(vals), k_max=30, min_seg_len=min_seg_len)
+    views = split_by_chromosome(as_matrix(vals), None)
+    [res] = segment_all(views, k_max=30, min_seg_len=min_seg_len)
     assert passes == [30]
     assert res.trace.chosen_K > 1
     assert res.segmentation == res.trace.segmentation

@@ -31,6 +31,7 @@ from .core import build_gram_prefix, standardize
 from .segment import segmentation_from_breakpoints
 from .significance import power
 from .simulate import (
+    DEFAULT_RHO0,
     ChromosomeSpec,
     ScenarioSpec,
     annotation_rows,
@@ -90,6 +91,11 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not Path(value).exists():
                 raise ValidationError(f"--{name.replace('_', '-')}: no such file {value}")
+
+    @property
+    def background(self) -> float:
+        """simulate's background correlation: --rho0, else DEFAULT_RHO0."""
+        return DEFAULT_RHO0 if self.rho0 is None else self.rho0
 
     def manifest(self) -> dict:
         return {k: v for k, v in sorted(asdict(self).items())}
@@ -202,7 +208,7 @@ def _spec_from_file(path: str, config: RunConfig) -> ScenarioSpec:
             )
             for c in raw["chromosomes"]
         )
-        rho0 = raw.get("rho0", config.rho0 if config.rho0 is not None else 0.08)
+        rho0 = raw.get("rho0", config.background)
         if isinstance(rho0, list):
             rho0 = tuple(float(v) for v in rho0)
         return ScenarioSpec(
@@ -222,7 +228,7 @@ def cmd_simulate(config: RunConfig) -> int:
         try:
             spec = default_scenario(
                 scenario=config.scenario,
-                rho0=config.rho0 if config.rho0 is not None else 0.08,
+                rho0=config.background,
                 rho1=config.rho1,
                 n=config.n,
                 seed=config.seed,

@@ -11,9 +11,6 @@ through the usual segmentation/testing pipeline.
 
 from __future__ import annotations
 
-import math
-import os
-import sys
 import warnings
 from dataclasses import dataclass, replace
 
@@ -27,6 +24,7 @@ from .segment import (
     _backtrack,
     _dp_kernel,
     _tile_views,
+    _workers,
     default_k_max,
     pass_size,
     penalty,
@@ -107,68 +105,6 @@ def _fit_batch(job: tuple[np.ndarray, int, float, bool]) -> list[list[int]]:
         Kt = penalty(np.arange(1, km + 1), t)
         ks = [slope_change_choice(Lj, Kt, S, "largest")[0] for Lj in L]
     return [_backtrack(Bj, k, t) for Bj, k in zip(B, ks)]
-
-
-# DP cells (`pass_size`'s) a worker process must get to pay for its start-up:
-# on 2 CPUs pooled fits broke even with inline ones between 24 and 64 million
-# cells (about 50 ms of fits), so two workers need 64 million
-WORKER_CELLS = 32_000_000
-# the DP tables of the batches the workers hold at once stay within this, or
-# within one batch where one batch is larger
-POOL_TABLE_BYTES = 512 * 2**20
-# where Linux lists this process's cgroups and mounts their controllers
-PROC_CGROUP = "/proc/self/cgroup"
-CGROUP_ROOT = "/sys/fs/cgroup"
-
-
-def _cpu_quota(directory: str, v2: bool) -> float:
-    """CPUs the quota of one cgroup directory allows; inf if it sets none."""
-    fields = []
-    try:
-        for name in ["cpu.max"] if v2 else ["cpu.cfs_quota_us", "cpu.cfs_period_us"]:
-            with open(os.path.join(directory, name)) as f:
-                fields += f.read().split()
-        quota, period = map(int, fields)
-    except (OSError, ValueError):  # no such file, or v2's "max"
-        return math.inf
-    return quota / period if quota > 0 else math.inf  # v1 writes -1 for none
-
-
-def usable_cpus() -> int:
-    """CPUs this process may use: its affinity mask, capped by the CPU quota
-    of its cgroup or of any cgroup above it (cgroup v2 or v1's cpu)."""
-    cpus = len(os.sched_getaffinity(0))
-    try:
-        with open(PROC_CGROUP) as f:
-            entries = [line.rstrip("\n").split(":", 2) for line in f]
-    except OSError:
-        return cpus
-    quota = math.inf
-    for _, controllers, path in entries:
-        v2 = controllers == ""
-        if v2 or "cpu" in controllers.split(","):
-            root = CGROUP_ROOT if v2 else os.path.join(CGROUP_ROOT, "cpu")
-            parts = [part for part in path.split("/") if part]
-            # a quota above the process's cgroup binds it too, and a
-            # container may see its own cgroup at the root, not at path
-            for depth in range(len(parts) + 1):
-                quota = min(quota, _cpu_quota(os.path.join(root, *parts[:depth]), v2))
-    return cpus if quota >= cpus else math.ceil(quota)
-
-
-def _workers(batches: int, cells: int, table_bytes: int) -> int:
-    """Workers for the batches (1: inline): cells are all fits', table_bytes the largest batch's."""
-    if sys.platform != "linux":
-        # fork is unsafe under macOS system libraries and absent on Windows
-        return 1
-    workers = min(batches, cells // WORKER_CELLS, POOL_TABLE_BYTES // max(1, table_bytes))
-    if workers < 2:
-        return 1
-    import multiprocessing
-
-    if multiprocessing.current_process().daemon:
-        return 1  # a daemonic process may not have children
-    return min(workers, usable_cpus())
 
 
 def segment_covariate(

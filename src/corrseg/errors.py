@@ -97,6 +97,10 @@ class SchemaError(ValidationError):
     """A supplied file does not follow the documented column schema."""
 
 
+class DPBandFailed(CorrsegError):
+    """A process running a band of rows of a DP pass ended before the pass did."""
+
+
 class DegenerateNormalizationWarning(UserWarning):
     """The likelihood curve is flat from K=1 to K_max; selection falls back to K=1."""
 

@@ -10,13 +10,17 @@ shows its largest slope change.
 
 from __future__ import annotations
 
+import math
+import mmap
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ExpressionMatrix, block_sums, build_gram_prefix
-from .errors import DegenerateNormalizationWarning, KTooLarge
+from .errors import DegenerateNormalizationWarning, DPBandFailed, KTooLarge
 
 RHO_EPS = 1e-8
 LOG_EPS = 1e-12
@@ -130,7 +134,72 @@ def pass_size(m: int, k_max: int, batch: int = 1) -> tuple[int, int, int]:
     """
     return batch * k_max * m * m, batch * k_max * (8 * (m + 1) + 4 * m), batch * 8 * TILE * m
 
-def _dp_kernel(cost, m: int, k_max: int, min_seg_len: int, batch: int | None = None):
+# DP cells (`pass_size`'s) a worker process must get to pay for its start-up:
+# on 2 CPUs pooled covariate fits broke even with inline ones between 24 and
+# 64 million cells (about 50 ms of fits), and two bands of an expression pass
+# between 12.5 and 34 million, so two workers need 64 million
+WORKER_CELLS = 32_000_000
+# the DP tables of the batches the workers hold at once stay within this, or
+# within one batch where one batch is larger
+POOL_TABLE_BYTES = 512 * 2**20
+# where Linux lists this process's cgroups and mounts their controllers
+PROC_CGROUP = "/proc/self/cgroup"
+CGROUP_ROOT = "/sys/fs/cgroup"
+
+
+def _cpu_quota(directory: str, v2: bool) -> float:
+    """CPUs the quota of one cgroup directory allows; inf if it sets none."""
+    fields = []
+    try:
+        for name in ["cpu.max"] if v2 else ["cpu.cfs_quota_us", "cpu.cfs_period_us"]:
+            with open(os.path.join(directory, name)) as f:
+                fields += f.read().split()
+        quota, period = map(int, fields)
+    except (OSError, ValueError):  # no such file, or v2's "max"
+        return math.inf
+    return quota / period if quota > 0 else math.inf  # v1 writes -1 for none
+
+
+def usable_cpus() -> int:
+    """CPUs this process may use: its affinity mask, capped by the CPU quota
+    of its cgroup or of any cgroup above it (cgroup v2 or v1's cpu)."""
+    cpus = len(os.sched_getaffinity(0))
+    try:
+        with open(PROC_CGROUP) as f:
+            entries = [line.rstrip("\n").split(":", 2) for line in f]
+    except OSError:
+        return cpus
+    quota = math.inf
+    for _, controllers, path in entries:
+        v2 = controllers == ""
+        if v2 or "cpu" in controllers.split(","):
+            root = CGROUP_ROOT if v2 else os.path.join(CGROUP_ROOT, "cpu")
+            parts = [part for part in path.split("/") if part]
+            # a quota above the process's cgroup binds it too, and a
+            # container may see its own cgroup at the root, not at path
+            for depth in range(len(parts) + 1):
+                quota = min(quota, _cpu_quota(os.path.join(root, *parts[:depth]), v2))
+    return cpus if quota >= cpus else math.ceil(quota)
+
+
+def _workers(batches: int, cells: int, table_bytes: int) -> int:
+    """Worker processes (1: inline) for work in `batches` parts: cells are the
+    whole work's, table_bytes the tables of the largest part a worker holds."""
+    if sys.platform != "linux":
+        # fork is unsafe under macOS system libraries and absent on Windows
+        return 1
+    workers = min(batches, cells // WORKER_CELLS, POOL_TABLE_BYTES // max(1, table_bytes))
+    if workers < 2:
+        return 1
+    import multiprocessing
+
+    if multiprocessing.current_process().daemon:
+        return 1  # a daemonic process may not have children
+    return min(workers, usable_cpus())
+
+
+def _dp_kernel(cost, m: int, k_max: int, min_seg_len: int, batch: int | None = None,
+               bands: int = 1):
     """Optimal segmentations of m points into 1..k_max segments, one pass.
 
     cost(starts, stops) returns the cost of the half-open segments
@@ -143,16 +212,38 @@ def _dp_kernel(cost, m: int, k_max: int, min_seg_len: int, batch: int | None = N
     go to the lowest), defined only where D is finite. Rows k <= K do not
     depend on k_max, so any K up to k_max backtracks from the same B.
     With a batch, the tiles, D and B lead with a series axis that long.
+    With bands > 1, contiguous bands of rows run in forked processes on
+    shared tables (`_run_bands`); D and B are the same bits.
     """
-    lead = () if batch is None else (batch,)
+    shape = (*(() if batch is None else (batch,)), k_max, m + 1)
+    if bands == 1:
+        # E[k, s] = D[k, s - 1]; its +inf column 0 lets a segment start s
+        # index the row it extends, so each add reads whole contiguous rows
+        E = np.full(shape, np.inf)
+        B = np.zeros((*shape[:-1], m), dtype=np.int32)
+        _band(cost, E, B, min_seg_len, 0, k_max)
+    else:
+        # one anonymous shared mapping holds E, then B
+        tables = mmap.mmap(-1, pass_size(m, k_max, batch or 1)[1])
+        E = np.frombuffer(tables, count=math.prod(shape)).reshape(shape)
+        E.fill(np.inf)
+        B = np.frombuffer(tables, np.int32, offset=E.nbytes).reshape(*shape[:-1], m)
+        _run_bands(cost, E, B, min_seg_len, bands)
+    return E[..., 1:], B
+
+
+def _band(cost, E, B, min_seg_len: int, k0: int, k1: int, up=None, down=None) -> None:
+    """Rows k0..k1-1 of E and B in a `_dp_kernel` pass, tile by tile.
+
+    Row k of a tile needs row k-1 only at end points up to that tile, so
+    with up, a band waits for one byte from the band above before it fills
+    its rows of a tile, and with down, it sends one after.
+    """
+    *lead, k_max, m = B.shape
     msl = max(1, min_seg_len)
-    # E[k, s] = D[k, s - 1]; its +inf column 0 lets a segment start s index
-    # the row it extends, so each add reads whole contiguous rows
-    E = np.full((*lead, k_max, m + 1), np.inf)
-    B = np.zeros((*lead, k_max, m), dtype=np.int32)
     # M, which takes the add's stores, starts on a 64-byte boundary: off it,
     # a chr-2000 pass ran 20-30% slower, as the heap happened to place M
-    M_flat = np.empty(TILE * m * (batch or 1) + 8)
+    M_flat = np.empty(TILE * m * math.prod(lead) + 8)
     M_flat = M_flat[(-M_flat.ctypes.data % 64) // 8 :]
     # short[r, j]: the segment from s = b0 + 1 - msl + j to end point b0 + r
     # has fewer than msl points
@@ -165,21 +256,77 @@ def _dp_kernel(cost, m: int, k_max: int, min_seg_len: int, batch: int | None = N
         s0 = b0 + 1 - msl
         lo = max(s0, 0)
         np.copyto(c[..., lo:], np.inf, where=short[:w, lo - s0 : w + msl - 1])
-        E[..., 0, b0 + 1 : b1 + 1] = c[..., 0]
-        # Row k of the tile needs row k-1 only at end points before b, so
-        # each row is filled for the whole tile at once. At p = 2000, c and
+        if k0 == 0:
+            E[..., 0, b0 + 1 : b1 + 1] = c[..., 0]
+        # Each row is filled for the whole tile at once. At p = 2000, c and
         # M are 0.5 MB each and stay in a core's own cache. M is the front of
         # the flat buffer: argmin reads it uncopied, the minima come at rows + s.
         M = M_flat[: c.size].reshape(c.shape)
         rows = np.arange(0, c.size, b1).reshape(c.shape[:-1])
-        for k in range(1, k_max):
+        if up is not None:
+            _handoff(up, read=True)
+        for k in range(max(k0, 1), k1):
             # M[..., b - b0, s] = best k segments of 0..s-1, then segment
             # s..b; s = 0 and s > b are +inf, in E and in c
             np.add(c, E[..., k - 1, None, :b1], out=M)
             s = M.argmin(axis=-1)
             E[..., k, b0 + 1 : b1 + 1] = M_flat[rows + s]
             B[..., k, b0:b1] = s - 1
-    return E[..., 1:], B
+        if down is not None:
+            _handoff(down, read=False)
+
+
+def _handoff(fd: int, read: bool) -> None:
+    """Take (read) or send one finished tile's byte on a band pipe."""
+    try:
+        if os.read(fd, 1) if read else os.write(fd, b"\0"):
+            return
+    except BrokenPipeError:
+        pass
+    raise DPBandFailed("a process running rows of a DP pass ended before the pass did")
+
+
+def _run_bands(cost, E, B, min_seg_len: int, bands: int) -> None:
+    """Fill shared E and B in bands of rows: the top band here, each other
+    band in a forked child, pipelined over tiles.
+
+    Pipe i carries band i's finished tiles to band i + 1, and the last
+    band's back here. Every process closes the pipe ends it does not use,
+    so a band's death reaches the bands below it, and this process, as
+    end of file. The children are gone when this returns or raises.
+    """
+    import multiprocessing
+
+    k_max, m = B.shape[-2:]
+    bounds = [k_max * i // bands for i in range(bands + 1)]
+    pipes = [os.pipe() for _ in range(bands)]
+    fds, mine = {fd for pipe in pipes for fd in pipe}, {pipes[0][1], pipes[-1][0]}
+    fork, children = multiprocessing.get_context("fork"), []
+    try:
+        for i in range(1, bands):
+            args = (cost, E, B, min_seg_len, bounds[i], bounds[i + 1], pipes[i - 1][0], pipes[i][1])
+            children.append(fork.Process(target=_child_band, args=(fds, *args), daemon=True))
+            children[-1].start()
+        for fd in fds - mine:
+            os.close(fd)
+        fds = mine
+        _band(cost, E, B, min_seg_len, 0, bounds[1], down=pipes[0][1])
+        for _ in range(0, m, TILE):
+            _handoff(pipes[-1][0], read=True)
+    finally:
+        for fd in fds:
+            os.close(fd)
+        for child in children:
+            child.terminate()
+        for child in children:
+            child.join()
+
+
+def _child_band(fds: set[int], cost, E, B, min_seg_len, k0, k1, up, down) -> None:
+    """A forked band: close the pipe ends it does not use, then fill its rows."""
+    for fd in fds - {up, down}:
+        os.close(fd)
+    _band(cost, E, B, min_seg_len, k0, k1, up, down)
 
 def _backtrack(B: np.ndarray, k: int, p: int) -> list[int]:
     """Recover breakpoints [0, ..., p] for the optimum with k segments."""
@@ -229,7 +376,9 @@ def _expression_dp(std: ExpressionMatrix, k_max: int, min_seg_len: int):
         np.subtract(stops, starts, out=L)
         return _closed_form_cost(block_sums(prefix, starts, stops, out=S), L, n, work)
 
-    return (prefix, *_dp_kernel(cost, std.p, k_max, min_seg_len))
+    # a band per row at most; the bands share one pass's tables
+    bands = _workers(k_max, pass_size(std.p, k_max)[0], 0)
+    return (prefix, *_dp_kernel(cost, std.p, k_max, min_seg_len, bands=bands))
 
 
 def dp_segment(std: ExpressionMatrix, K: int, min_seg_len: int = 1) -> Segmentation:

@@ -68,6 +68,7 @@ def estimate_rho0(matrix: ExpressionMatrix) -> float:
 
     Robust to a minority of correlated blocks: those only shift a few of
     the adjacent-pair correlations, leaving the median near the background.
+    Bounded by 1, which round-off can exceed for exactly collinear genes.
     """
     if matrix.p < 2:
         raise ValueError("background estimation needs at least 2 genes")
@@ -81,7 +82,7 @@ def estimate_rho0(matrix: ExpressionMatrix) -> float:
         return 0.0
     # np.median's bits without its first call's numpy.ma import (~10 ms)
     mid = r.size // 2
-    return float(abs(r[mid] if r.size % 2 else (r[mid - 1] + r[mid]) / 2))
+    return min(float(abs(r[mid] if r.size % 2 else (r[mid - 1] + r[mid]) / 2)), 1.0)
 
 
 def adjust_pvalues(p_values: list[float], method: str = "bh") -> list[float]:

@@ -101,10 +101,12 @@ class ScenarioSpec:
 
 
 DEFAULT_WIDTHS = (3, 5, 10, 20, 40)
+# background correlation of the desk-scale scenario, and of `corrseg simulate`
+DEFAULT_RHO0 = 0.08
 
 def default_scenario(
     scenario: int = 1,
-    rho0: float = 0.08,
+    rho0: float = DEFAULT_RHO0,
     rho1: float = 0.7,
     n: int = 58,
     seed: int = 0,
@@ -247,7 +249,9 @@ def gene_metrics(
     truth_by_chrom: dict[str, np.ndarray], reports: list[RegionReport]
 ) -> RocCurve:
     """ROC over genes, ranking each gene by its covering region's p-value."""
-    truth, score = _gene_scores(truth_by_chrom, reports)
+    return _gene_roc(*_gene_scores(truth_by_chrom, reports))
+
+def _gene_roc(truth: np.ndarray, score: np.ndarray) -> RocCurve:
     pos = int(truth.sum())
     neg = int((~truth).sum())
     if pos == 0 or neg == 0:
@@ -278,7 +282,11 @@ def region_metrics(
     over FP + TN. More stringent than gene-level: a fragmented detection
     creates extra false-negative regions instead of partial credit.
     """
-    truth, score = _gene_scores(truth_by_chrom, reports)
+    return _region_roc(truth_by_chrom, *_gene_scores(truth_by_chrom, reports))
+
+def _region_roc(
+    truth_by_chrom: dict[str, np.ndarray], truth: np.ndarray, score: np.ndarray
+) -> RocCurve:
     cuts = np.cumsum([len(truth_by_chrom[name]) for name in sorted(truth_by_chrom)])[:-1]
     truths = np.split(truth, cuts)
 
@@ -294,7 +302,8 @@ def evaluate(
     truth_by_chrom: dict[str, np.ndarray], reports: list[RegionReport]
 ) -> EvalResult:
     """Gene-level and region-level ROC/AUC for one set of region calls."""
+    truth, score = _gene_scores(truth_by_chrom, reports)
     return EvalResult(
-        gene_level=gene_metrics(truth_by_chrom, reports),
-        region_level=region_metrics(truth_by_chrom, reports),
+        gene_level=_gene_roc(truth, score),
+        region_level=_region_roc(truth_by_chrom, truth, score),
     )

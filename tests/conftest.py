@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from corrseg import segment
 from corrseg.core import ExpressionMatrix, block_sums, build_gram_prefix
 from corrseg.segment import _closed_form_cost
 
@@ -71,3 +72,10 @@ def cost_grid(m: ExpressionMatrix) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """Set the CPUs `segment.usable_cpus` reports, which size every worker pool."""
+    def set_cpus(n):
+        monkeypatch.setattr(segment, "usable_cpus", lambda: n)
+    return set_cpus

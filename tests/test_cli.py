@@ -264,6 +264,29 @@ class TestSegmentCommand:
         assert "p=60" in err
         assert flag in err
 
+    def test_outputs_do_not_depend_on_the_cpu_count(self, tmp_path, usable_cpus, monkeypatch):
+        # a p = 1000 pass (100 M cells) runs in one band per usable CPU, up to 3
+        spec = write_spec(tmp_path / "spec.json", [{"name": "chr1", "p": 1000,
+                          "h1_blocks": [[101, 140], [601, 630]]}], 0.08, 0.7, 58, 4)
+        assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path)]) == 0
+        kernel, bands = segment._dp_kernel, []
+
+        def counted(*args, **kwargs):
+            bands.append(kwargs["bands"])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(segment, "_dp_kernel", counted)
+        outputs = []
+        for cpus in (1, 2, 3):
+            usable_cpus(cpus)
+            out = tmp_path / f"cpus{cpus}"
+            assert main(["segment", "--input", str(tmp_path / "expression.tsv"),
+                         "--annotation", str(tmp_path / "annotation.tsv"),
+                         "--trace", "--out", str(out)]) == 0
+            outputs.append([(out / f).read_bytes() for f in ("segmentation.tsv", "trace.json")])
+        assert bands == [1, 2, 3]
+        assert outputs[0] == outputs[1] == outputs[2]
+
 
 class TestTestCommand:
     def test_unknown_chromosome_exit_3(self, tmp_path, capsys):

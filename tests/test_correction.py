@@ -13,7 +13,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from corrseg import correction
+from corrseg import correction, segment
 from corrseg.core import block_sums, build_gram_prefix, standardize
 from corrseg.correction import (
     PatientFit,
@@ -235,13 +235,6 @@ def _cnv_tracks(n, t, rng):
     steps = np.repeat(rng.standard_normal(5), -(-t // 5))[:t]
     return {f"P{i:03d}": (np.arange(t) * 666.0, steps + rng.standard_normal(t)) for i in range(n)}
 
-@pytest.fixture
-def usable_cpus(monkeypatch):
-    """Set the CPUs `correction.usable_cpus` reports."""
-    def set_cpus(n):
-        monkeypatch.setattr(correction, "usable_cpus", lambda: n)
-    return set_cpus
-
 fork_only = pytest.mark.skipif(sys.platform != "linux", reason="worker processes fork only on Linux")
 
 def test_covariate_memory_stays_near_one_batch(rng, usable_cpus):
@@ -306,19 +299,19 @@ def _mixed_tracks(rng):
 
 def test_worker_count(usable_cpus, monkeypatch):
     usable_cpus(4)
-    cells, budget = correction.WORKER_CELLS, correction.POOL_TABLE_BYTES
+    cells, budget = segment.WORKER_CELLS, segment.POOL_TABLE_BYTES
     # a worker per WORKER_CELLS of fits, at most one per batch and per CPU
     sizes = [(1, 9 * cells), (3, 9 * cells), (9, 9 * cells), (9, 3 * cells), (9, 2 * cells - 1)]
-    assert [correction._workers(b, c, 1) for b, c in sizes] == [1, 3, 4, 3, 1]
+    assert [segment._workers(b, c, 1) for b, c in sizes] == [1, 3, 4, 3, 1]
     # the workers' tables together stay within the budget
-    assert correction._workers(9, 9 * cells, budget // 2) == 2
-    assert correction._workers(9, 9 * cells, budget // 2 + 1) == 1
-    assert correction._workers(0, 0, 0) == 1
+    assert segment._workers(9, 9 * cells, budget // 2) == 2
+    assert segment._workers(9, 9 * cells, budget // 2 + 1) == 1
+    assert segment._workers(0, 0, 0) == 1
     usable_cpus(1)
-    assert correction._workers(9, 9 * cells, 1) == 1
+    assert segment._workers(9, 9 * cells, 1) == 1
     usable_cpus(4)
     monkeypatch.setattr(sys, "platform", "darwin")
-    assert correction._workers(9, 9 * cells, 1) == 1
+    assert segment._workers(9, 9 * cells, 1) == 1
 
 def test_fit_size_is_the_benchmarks_dp_cells(monkeypatch):
     # k_max * t**2 per series, and the largest batch's E and B
@@ -348,9 +341,9 @@ def test_usable_cpus_honour_a_cgroup_cpu_quota(cgroup, files, cpus, tmp_path, mo
         (tmp_path / "fs" / name).write_text(text + "\n")
     if cgroup is not None:
         (tmp_path / "cgroup").write_text(cgroup + "\n")
-    monkeypatch.setattr(correction, "PROC_CGROUP", str(tmp_path / "cgroup"))
-    monkeypatch.setattr(correction, "CGROUP_ROOT", str(tmp_path / "fs"))
-    assert correction.usable_cpus() == cpus
+    monkeypatch.setattr(segment, "PROC_CGROUP", str(tmp_path / "cgroup"))
+    monkeypatch.setattr(segment, "CGROUP_ROOT", str(tmp_path / "fs"))
+    assert segment.usable_cpus() == cpus
 
 @fork_only
 @pytest.mark.parametrize("batch_points", [100_000, 1])
@@ -392,7 +385,7 @@ def test_fits_from_a_daemonic_worker_run_inline(usable_cpus, monkeypatch):
     # a daemonic process may not have children, so its fits run inline
     # where any other process would start a pool
     usable_cpus(4)
-    monkeypatch.setattr(correction, "WORKER_CELLS", 1)
+    monkeypatch.setattr(segment, "WORKER_CELLS", 1)
     tracks = _mixed_tracks(np.random.default_rng(5))
     expected = segment_covariate(tracks)
     with multiprocessing.get_context("fork").Pool(1) as pool:

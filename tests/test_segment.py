@@ -1,16 +1,23 @@
 """Segment costs, the segmentation DP, and segment-count selection."""
 
 import itertools
+import mmap
+import multiprocessing
+import os
+import signal
+import sys
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from corrseg.core import block_sums, build_gram_prefix, standardize
 from corrseg import segment
 from corrseg.correction import _rss_cost
-from corrseg.errors import DegenerateNormalizationWarning, KTooLarge
+from corrseg.errors import DegenerateNormalizationWarning, DPBandFailed, KTooLarge
 from corrseg.pipeline import segment_all, split_by_chromosome
 from corrseg.segment import (
     LOG_EPS,
@@ -297,17 +304,20 @@ def test_kernel_matches_reference_dp_across_tiles(min_seg_len):
 @pytest.mark.parametrize("m, k_max, batch, nbytes", [
     (200, 20, None, 48160), (1000, 100, None, 1200800), (450, 45, 4, 973440), (5000, 100, 1, 6000800),
 ])
-def test_pass_size_is_the_tables_a_pass_allocates(m, k_max, batch, nbytes, rng):
+def test_pass_size_is_the_tables_a_pass_allocates(m, k_max, batch, nbytes, rng, usable_cpus):
     # an expression pass (no batch) and batched `_rss_cost` passes: E, whose
-    # view D drops its +inf column, and B
+    # view D drops its +inf column, and B; inline, on one usable CPU
+    usable_cpus(1)
     if batch is None:
         _, D, B = segment._expression_dp(std_for(rng.standard_normal((58, m))), k_max, 1)
     else:
         D, B = _dp_kernel(_rss_cost(rng.standard_normal((batch, m))), m, k_max, 1, batch)
     assert pass_size(m, k_max, batch or 1)[1] == D.base.nbytes + B.nbytes == nbytes
 
-def test_select_k_memory_stays_near_prefix_plus_tables():
-    # the Gram prefix, the pass's tables and at most eight tile buffers
+def test_select_k_memory_stays_near_prefix_plus_tables(usable_cpus):
+    # the Gram prefix, the pass's tables and at most eight tile buffers;
+    # inline, on one usable CPU
+    usable_cpus(1)
     p = 1000
     k_max = default_k_max(p)
     m = std_for(blocked_matrix(58, p, [(100, 400)], 0.05, 0.7, np.random.default_rng(5)))
@@ -320,15 +330,125 @@ def test_select_k_memory_stays_near_prefix_plus_tables():
     _, tables, tile = pass_size(p, k_max)
     assert peak <= 8 * (p + 1) ** 2 + tables + 8 * tile
 
+# ------------------------------------------------------------ row bands
+
+fork_only = pytest.mark.skipif(sys.platform != "linux", reason="bands fork only on Linux")
+
+def _expression_cost(m):
+    prefix = build_gram_prefix(m)
+
+    def cost(starts, stops):
+        return _closed_form_cost(block_sums(prefix, starts, stops), stops - starts, m.n)
+
+    return cost
+
+@fork_only
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(1, 3 * TILE), k=st.integers(1, 3 * TILE), min_seg_len=st.integers(1, 3),
+       bands=st.sampled_from([2, 3]), seed=st.integers(0, 2**16))
+@example(p=TILE - 1, k=TILE - 1, min_seg_len=1, bands=3, seed=0)
+@example(p=TILE, k=TILE, min_seg_len=2, bands=2, seed=1)
+@example(p=TILE + 1, k=1, min_seg_len=3, bands=3, seed=2)
+@example(p=2 * TILE + 9, k=2 * TILE + 9, min_seg_len=1, bands=2, seed=3)
+def test_banded_pass_equals_the_inline_pass(p, k, min_seg_len, bands, seed):
+    # k_max from 1 to p; a band may hold no row, or only row 0
+    rng = np.random.default_rng(seed)
+    cost = _expression_cost(std_for(blocked_matrix(20, p, [(p // 4, p // 2)], 0.05, 0.8, rng)))
+    D, B = _dp_kernel(cost, p, min(k, p), min_seg_len)
+    D_bands, B_bands = _dp_kernel(cost, p, min(k, p), min_seg_len, bands=bands)
+    assert np.array_equal(D, D_bands) and np.array_equal(B, B_bands)
+
+class CostFault(Exception):
+    """Raised by a test cost inside one band."""
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in this process if the block runs longer."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+@fork_only
+@pytest.mark.parametrize("k0, error", [(0, CostFault), (4, DPBandFailed), (8, DPBandFailed)],
+                         ids=["caller", "first-child", "last-child"])
+def test_a_band_fault_reaches_the_caller_and_leaves_no_child(k0, error, monkeypatch):
+    # three bands of rows 0-3, 4-7 and 8-11; from the third tile on, the cost
+    # of the band whose rows start at k0 raises. A band above the last one
+    # that dies must not leave the bands below it waiting
+    p, band = 4 * TILE, segment._band
+    clean = _expression_cost(std_for(np.random.default_rng(4).standard_normal((20, p))))
+
+    def faulty(starts, stops):
+        if stops.min() > 2 * TILE:
+            raise CostFault(f"cost fault in the band of rows {k0}-{k0 + 3}")
+        return clean(starts, stops)
+
+    def chosen(cost, E, B, min_seg_len, first, *rows_and_pipes, **pipe):
+        band(faulty if first == k0 else cost, E, B, min_seg_len, first, *rows_and_pipes, **pipe)
+
+    monkeypatch.setattr(segment, "_band", chosen)
+    with deadline(60), pytest.raises(error):
+        _dp_kernel(clean, p, 12, 1, bands=3)
+    assert multiprocessing.active_children() == []
+
+@fork_only
+def test_a_daemonic_caller_runs_its_pass_inline(usable_cpus, monkeypatch):
+    # a daemonic process may not have children; any other process would
+    # run this pass in four bands
+    usable_cpus(4)
+    monkeypatch.setattr(segment, "WORKER_CELLS", 1)
+    m = std_for(blocked_matrix(30, 90, [(20, 50)], 0.05, 0.8, np.random.default_rng(6)))
+    expected = select_k(m, k_max=20)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        trace = pool.apply_async(select_k, (m, 20)).get(timeout=60)
+    assert trace == expected
+
+@fork_only
+def test_banded_select_k_memory_stays_near_prefix_and_shares_its_tables(usable_cpus, monkeypatch):
+    # on two usable CPUs a p = 1000 pass runs in two bands; its tables are
+    # one shared mapping of pass_size's table_bytes, which tracemalloc does
+    # not see, so the caller holds the Gram prefix and its tile buffers
+    usable_cpus(2)
+    p = 1000
+    k_max = default_k_max(p)
+    m = std_for(blocked_matrix(58, p, [(100, 400)], 0.05, 0.7, np.random.default_rng(5)))
+    passes = []
+
+    def kept(*args, **bands):
+        passes.append((bands, *_dp_kernel(*args, **bands)))
+        return passes[-1][1:]
+
+    monkeypatch.setattr(segment, "_dp_kernel", kept)
+    tracemalloc.start()
+    try:
+        select_k(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    [(bands, D, B)] = passes
+    _, tables, tile = pass_size(p, k_max)
+    assert bands == {"bands": 2}
+    assert peak <= 8 * (p + 1) ** 2 + 8 * tile
+    shared = D.base.base.obj
+    assert isinstance(shared, mmap.mmap) and B.base.base.obj is shared
+    assert len(shared) == D.base.nbytes + B.nbytes == tables
+
 @pytest.mark.parametrize("min_seg_len", [1, 2])
 def test_selection_segments_from_the_same_pass(rng, monkeypatch, min_seg_len):
     # one k_max pass per chromosome; the chosen K backtracks from it and a
     # fresh pass with K rows agrees
     passes = []
 
-    def counted(cost, m, k_max, min_seg_len):
+    def counted(cost, m, k_max, min_seg_len, **bands):
         passes.append(k_max)
-        return _dp_kernel(cost, m, k_max, min_seg_len)
+        return _dp_kernel(cost, m, k_max, min_seg_len, **bands)
 
     monkeypatch.setattr(segment, "_dp_kernel", counted)
     vals = blocked_matrix(58, 90, [(20, 45), (60, 75)], 0.05, 0.8, rng)

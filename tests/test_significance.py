@@ -139,6 +139,13 @@ def test_estimate_rho0_exchangeable():
     assert 0.13 <= np.mean(vals) <= 0.23
     assert min(vals) >= 0.10 and max(vals) <= 0.26
 
+@pytest.mark.parametrize("seed, p", [(1, 2), (8, 3), (16, 6)])
+def test_estimate_rho0_is_at_most_one(seed, p):
+    # genes that are multiples of one patient factor: adjacent r rounds to
+    # 1 + 2e-16 or 1 + 4e-16 at these seeds
+    b = np.random.default_rng(seed).standard_normal((20, 1))
+    assert estimate_rho0(as_matrix(b * np.arange(1.0, p + 1))) == 1.0
+
 @pytest.mark.parametrize("p", [2, 3, 40, 41])
 def test_estimate_rho0_is_numpy_median_bits(rng, p):
     m = as_matrix(rng.standard_normal((20, p)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corrseg import simulate
 from corrseg.errors import GridMismatch, InvalidLoadings
 from corrseg.significance import RegionReport
 from corrseg.simulate import (
@@ -268,6 +269,23 @@ def test_evaluate_bundles_both_levels():
         fpr, tpr = np.asarray(roc.fpr), np.asarray(roc.tpr)
         order = np.argsort(fpr, kind="stable")
         assert np.all(np.diff(tpr[order]) >= -1e-12)
+
+def test_evaluate_scores_genes_once(monkeypatch):
+    # both levels rank the same per-gene scores; the public functions agree
+    truth = {"chr1": truth_one_chrom(20, [(5, 10)])["chr1"], "chr2": np.zeros(6, dtype=bool)}
+    calls = [report("chr1", 1, 5, 0.8), report("chr1", 6, 10, 1e-9),
+             report("chr1", 11, 20, 0.9), report("chr2", 1, 6, 0.3)]
+    scored, calls_made = simulate._gene_scores, []
+
+    def counted(*args):
+        calls_made.append(args)
+        return scored(*args)
+
+    monkeypatch.setattr(simulate, "_gene_scores", counted)
+    res = evaluate(truth, calls)
+    assert len(calls_made) == 1
+    assert res.gene_level == gene_metrics(truth, calls)
+    assert res.region_level == region_metrics(truth, calls)
 
 def test_untested_regions_never_called():
     truth = truth_one_chrom(10, [(0, 4)])

@@ -49,9 +49,7 @@ from .simulate import (
     ScenarioSpec,
     default_scenario,
     evaluate,
-    gene_metrics,
     generate,
-    region_metrics,
 )
 
 __all__ = [
@@ -85,7 +83,5 @@ __all__ = [
     "ScenarioSpec",
     "default_scenario",
     "evaluate",
-    "gene_metrics",
     "generate",
-    "region_metrics",
 ]

@@ -2,7 +2,8 @@
 
 Every run writes its outputs plus a manifest.json recording the resolved
 configuration, library version, and seed; reruns with the same flags
-produce byte-identical files. Exit codes: 0 success, 2 ingestion failure
+produce byte-identical files. Exit codes: 0 success, 1 a worker process
+ended early (named with its exit code or signal), 2 ingestion failure
 (unreadable or malformed input), 3 validation failure (readable input or
 flags violating a contract).
 """
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, io
-from .errors import IngestionError, ValidationError
+from .errors import CorrsegError, IngestionError, ValidationError
 from .pipeline import (
     ChromosomeResult,
     correct_view,
@@ -418,6 +419,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"corrseg: validation error: {exc}", file=sys.stderr)
         return 3
+    except CorrsegError as exc:
+        print(f"corrseg: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import ExpressionMatrix
-from .errors import DegenerateCovariateWarning, KTooLarge, NoProbesOnChromosome, TooFewProbes
+from .errors import (DegenerateCovariateWarning, DPBandFailed, KTooLarge, NoProbesOnChromosome,
+                     TooFewProbes)
 from .segment import (
     LOG_EPS,
     TILE,
@@ -152,11 +153,20 @@ def segment_covariate(
         results = map(_fit_batch, jobs)
     else:
         import multiprocessing
+        import signal
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         # fork, not forkserver or spawn: a worker starts with numpy loaded
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            results = list(pool.map(_fit_batch, jobs))
+        try:
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                processes = pool._processes  # by pid; the broken pool joins them all
+                results = list(pool.map(_fit_batch, jobs))
+        except BrokenProcessPool:
+            # once one worker ends, the pool ends the others with SIGTERM
+            codes = [process.exitcode for process in processes.values()]
+            code = next((c for c in codes if c != -signal.SIGTERM), -signal.SIGTERM)
+            raise DPBandFailed.ended("a worker process fitting covariate batches", code)
     fits = [None] * len(tracks)
     for (batch, _), breakpoints in zip(batches, results):
         for i, bps in zip(batch, breakpoints):

@@ -2,7 +2,8 @@
 
 Two broad families matter to the CLI: ingestion failures (unreadable or
 malformed input, exit code 2) and validation failures (well-formed input
-that violates a contract, exit code 3). Library callers can catch the
+that violates a contract, exit code 3). Any other package error, such as
+a worker process that ended early, exits 1. Library callers can catch the
 specific classes.
 """
 
@@ -98,7 +99,14 @@ class SchemaError(ValidationError):
 
 
 class DPBandFailed(CorrsegError):
-    """A process running a band of rows of a DP pass ended before the pass did."""
+    """A forked process running a band of rows of a DP pass, or covariate
+    fits, ended before its work was done (CLI exit code 1)."""
+
+    @classmethod
+    def ended(cls, what: str, exitcode: int) -> DPBandFailed:
+        """The error naming what the process did and how it ended."""
+        how = f"exit code {exitcode}" if exitcode >= 0 else f"signal {-exitcode}"
+        return cls(f"{what} ended with {how} before its work was done")
 
 
 class DegenerateNormalizationWarning(UserWarning):

@@ -277,13 +277,12 @@ def _band(cost, E, B, min_seg_len: int, k0: int, k1: int, up=None, down=None) ->
 
 
 def _handoff(fd: int, read: bool) -> None:
-    """Take (read) or send one finished tile's byte on a band pipe."""
-    try:
-        if os.read(fd, 1) if read else os.write(fd, b"\0"):
-            return
-    except BrokenPipeError:
-        pass
-    raise DPBandFailed("a process running rows of a DP pass ended before the pass did")
+    """Take (read) or send one finished tile's byte on a band pipe; EOFError
+    or BrokenPipeError means the band at the other end has ended."""
+    if not read:
+        os.write(fd, b"\0")
+    elif not os.read(fd, 1):
+        raise EOFError("a band of a DP pass ended before the pass did")
 
 
 def _run_bands(cost, E, B, min_seg_len: int, bands: int) -> None:
@@ -292,8 +291,9 @@ def _run_bands(cost, E, B, min_seg_len: int, bands: int) -> None:
 
     Pipe i carries band i's finished tiles to band i + 1, and the last
     band's back here. Every process closes the pipe ends it does not use,
-    so a band's death reaches the bands below it, and this process, as
-    end of file. The children are gone when this returns or raises.
+    so a band's end reaches the bands next to it, and this process, on its
+    pipes. The children are gone when this returns or raises; DPBandFailed
+    names the first child to end by its rows and exit status.
     """
     import multiprocessing
 
@@ -301,7 +301,7 @@ def _run_bands(cost, E, B, min_seg_len: int, bands: int) -> None:
     bounds = [k_max * i // bands for i in range(bands + 1)]
     pipes = [os.pipe() for _ in range(bands)]
     fds, mine = {fd for pipe in pipes for fd in pipe}, {pipes[0][1], pipes[-1][0]}
-    fork, children = multiprocessing.get_context("fork"), []
+    fork, children, ended = multiprocessing.get_context("fork"), [], False
     try:
         for i in range(1, bands):
             args = (cost, E, B, min_seg_len, bounds[i], bounds[i + 1], pipes[i - 1][0], pipes[i][1])
@@ -313,20 +313,32 @@ def _run_bands(cost, E, B, min_seg_len: int, bands: int) -> None:
         _band(cost, E, B, min_seg_len, 0, bounds[1], down=pipes[0][1])
         for _ in range(0, m, TILE):
             _handoff(pipes[-1][0], read=True)
+    except (EOFError, BrokenPipeError):
+        ended = True
     finally:
+        # once this process's pipe ends close, every child finishes or ends
         for fd in fds:
             os.close(fd)
         for child in children:
-            child.terminate()
-        for child in children:
             child.join()
+    if ended:
+        # a child that ended because a neighbour did exits 0
+        i, child = next((i, child) for i, child in enumerate(children, 1) if child.exitcode)
+        rows = f"rows K = {bounds[i] + 1}-{bounds[i + 1]}"
+        raise DPBandFailed.ended(f"the process filling {rows} of a DP pass", child.exitcode)
 
 
 def _child_band(fds: set[int], cost, E, B, min_seg_len, k0, k1, up, down) -> None:
-    """A forked band: close the pipe ends it does not use, then fill its rows."""
+    """A forked band: close the pipe ends it does not use, then fill its rows.
+    It exits 0 if a band next to it ended first, else 1 on an exception."""
     for fd in fds - {up, down}:
         os.close(fd)
-    _band(cost, E, B, min_seg_len, k0, k1, up, down)
+    try:
+        _band(cost, E, B, min_seg_len, k0, k1, up, down)
+    except (EOFError, BrokenPipeError):
+        pass
+    except BaseException:
+        sys.exit(1)
 
 def _backtrack(B: np.ndarray, k: int, p: int) -> list[int]:
     """Recover breakpoints [0, ..., p] for the optimum with k segments."""

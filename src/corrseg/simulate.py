@@ -10,7 +10,6 @@ of maximal runs of genes sharing a (truth x call) status.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,8 +200,9 @@ class EvalResult:
 
 def _gene_scores(
     truth_by_chrom: dict[str, np.ndarray], reports: list[RegionReport]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-gene truth labels and p-value scores, chromosomes in name order."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-gene truth labels, p-value scores and first-gene-of-its-chromosome
+    flags, chromosomes in name order."""
     scores = {name: np.full(len(t), np.nan) for name, t in truth_by_chrom.items()}
     for r in reports:
         if r.chromosome not in scores:
@@ -227,12 +227,12 @@ def _gene_scores(
             raise GridMismatch(f"gene {uncovered[0] + 1} on {name} is in no region")
     truth = np.concatenate([truth_by_chrom[name] for name in names])
     score = np.concatenate([scores[name] for name in names])
-    return truth, score
+    first = np.concatenate([np.arange(len(scores[name])) == 0 for name in names])
+    return truth, score, first
 
-def _roc(score: np.ndarray, rates: Callable[[np.ndarray], tuple[float, float]]) -> RocCurve:
-    """Sweep every finite score as a threshold; rates(score <= t) gives (tpr, fpr)."""
-    thresholds = np.unique(score[np.isfinite(score)])
-    points = [rates(score <= t) for t in thresholds]
+def _roc(thresholds: np.ndarray, points: list[tuple[float, float]]) -> RocCurve:
+    """The curve through one (tpr, fpr) point per threshold; its area runs
+    from (0, 0) to (1, 1)."""
     tpr = tuple(tp for tp, _ in points)
     fpr = tuple(fp for _, fp in points)
     f = np.concatenate(([0.0], fpr, [1.0]))
@@ -245,65 +245,34 @@ def _roc(score: np.ndarray, rates: Callable[[np.ndarray], tuple[float, float]]) 
         auc=float(np.trapezoid(t[order], f[order])),
     )
 
-def gene_metrics(
+def evaluate(
     truth_by_chrom: dict[str, np.ndarray], reports: list[RegionReport]
-) -> RocCurve:
-    """ROC over genes, ranking each gene by its covering region's p-value."""
-    return _gene_roc(*_gene_scores(truth_by_chrom, reports))
+) -> EvalResult:
+    """Gene-level and region-level ROC/AUC for one set of region calls.
 
-def _gene_roc(truth: np.ndarray, score: np.ndarray) -> RocCurve:
+    Each gene is scored by its covering region's p-value (untested regions
+    are never called), and every finite score is a threshold. At gene level
+    TPR and FPR count genes. At region level every gene gets a true/false x
+    positive/negative status, and each maximal run of one status within a
+    chromosome counts as one region: TPR is TP regions over TP + FN
+    regions, FPR likewise over FP + TN. This is more stringent: a
+    fragmented detection creates extra false-negative regions instead of
+    partial credit.
+    """
+    truth, score, first = _gene_scores(truth_by_chrom, reports)
     pos = int(truth.sum())
     neg = int((~truth).sum())
     if pos == 0 or neg == 0:
         raise GridMismatch("gene-level ROC needs both H0 and H1 genes in the truth")
-    return _roc(score, lambda called: (
-        float((called & truth).sum() / pos), float((called & ~truth).sum() / neg)
-    ))
-
-def _region_counts(truth: np.ndarray, called: np.ndarray) -> tuple[int, int, int, int]:
-    """Counts of maximal same-status runs: (TP, FP, TN, FN) regions."""
-    # status encoding: 0 TP, 1 FP, 2 TN, 3 FN
-    status = np.where(truth, np.where(called, 0, 3), np.where(called, 1, 2))
-    change = np.flatnonzero(np.diff(status)) + 1
-    starts = np.concatenate(([0], change))
-    counts = [0, 0, 0, 0]
-    for s in starts:
-        counts[status[s]] += 1
-    return counts[0], counts[1], counts[2], counts[3]
-
-def region_metrics(
-    truth_by_chrom: dict[str, np.ndarray], reports: list[RegionReport]
-) -> RocCurve:
-    """ROC over merged same-status regions, at every p-value threshold.
-
-    At each threshold, every gene gets a true/false x positive/negative
-    status; maximal runs of one status within a chromosome count as one
-    region each. TPR is TP regions over TP + FN regions, FPR likewise
-    over FP + TN. More stringent than gene-level: a fragmented detection
-    creates extra false-negative regions instead of partial credit.
-    """
-    return _region_roc(truth_by_chrom, *_gene_scores(truth_by_chrom, reports))
-
-def _region_roc(
-    truth_by_chrom: dict[str, np.ndarray], truth: np.ndarray, score: np.ndarray
-) -> RocCurve:
-    cuts = np.cumsum([len(truth_by_chrom[name]) for name in sorted(truth_by_chrom)])[:-1]
-    truths = np.split(truth, cuts)
-
-    def rates(called: np.ndarray) -> tuple[float, float]:
-        counts = [_region_counts(t, c) for t, c in zip(truths, np.split(called, cuts))]
-        tp, fp, tn, fn = (sum(column) for column in zip(*counts))
-        return (float(tp / (tp + fn)) if tp + fn else 0.0,
-                float(fp / (fp + tn)) if fp + tn else 0.0)
-
-    return _roc(score, rates)
-
-def evaluate(
-    truth_by_chrom: dict[str, np.ndarray], reports: list[RegionReport]
-) -> EvalResult:
-    """Gene-level and region-level ROC/AUC for one set of region calls."""
-    truth, score = _gene_scores(truth_by_chrom, reports)
-    return EvalResult(
-        gene_level=_gene_roc(truth, score),
-        region_level=_region_roc(truth_by_chrom, truth, score),
-    )
+    thresholds = np.unique(score[np.isfinite(score)])
+    genes, regions = [], []
+    for t in thresholds:
+        called = score <= t
+        genes.append((float((called & truth).sum() / pos), float((called & ~truth).sum() / neg)))
+        # status 0 TN, 1 FP, 2 FN, 3 TP; an H1 gene makes a TP or FN run,
+        # an H0 gene an FP or TN run, so neither denominator is 0
+        status = 2 * truth + called
+        starts = first | (np.diff(status, prepend=-1) != 0)
+        tn, fp, fn, tp = np.bincount(status[starts], minlength=4)
+        regions.append((float(tp / (tp + fn)), float(fp / (fp + tn))))
+    return EvalResult(gene_level=_roc(thresholds, genes), region_level=_roc(thresholds, regions))

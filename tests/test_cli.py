@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
+import os
+import signal
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -29,6 +33,8 @@ TOY_ANN = FIXTURES / "toy_annotation.tsv"
 # ScenarioSpec(ChromosomeSpec("chr1", 60, ((15, 25), (40, 50))),
 #              rho0=0.0, rho1=0.9, n=58, seed=0)
 TOY_TRUTH = [(0, 15), (15, 25), (25, 40), (40, 50), (50, 60)]
+
+fork_only = pytest.mark.skipif(sys.platform != "linux", reason="worker processes fork only on Linux")
 
 
 def read_tsv(path: Path) -> list[dict]:
@@ -287,6 +293,29 @@ class TestSegmentCommand:
         assert bands == [1, 2, 3]
         assert outputs[0] == outputs[1] == outputs[2]
 
+    @fork_only
+    def test_a_dead_band_exits_1_in_one_named_line(self, tmp_path, usable_cpus, monkeypatch, capfd):
+        # on two CPUs each p = 1000 pass (k_max 100) runs rows K = 51-100 in a
+        # child band, which here runs out of memory
+        assert main(["simulate", "--p", "1000", "--out", str(tmp_path)]) == 0
+        usable_cpus(2)
+        parent, band = os.getpid(), segment._band
+
+        def starved(*args, **kwargs):
+            if os.getpid() != parent:
+                raise MemoryError
+            return band(*args, **kwargs)
+
+        monkeypatch.setattr(segment, "_band", starved)
+        capfd.readouterr()
+        assert main(["segment", "--input", str(tmp_path / "expression.tsv"),
+                     "--annotation", str(tmp_path / "annotation.tsv"),
+                     "--out", str(tmp_path / "seg")]) == 1
+        assert capfd.readouterr().err.splitlines() == [
+            "corrseg: the process filling rows K = 51-100 of a DP pass ended with exit code 1"
+            " before its work was done"]
+        assert multiprocessing.active_children() == []
+
 
 class TestTestCommand:
     def test_unknown_chromosome_exit_3(self, tmp_path, capsys):
@@ -515,6 +544,36 @@ class TestCorrectCommand:
         assert sidecar["mode"] == "per-gene"
         assert len(sidecar["beta"]) == matrix.p
         assert all(len(beta) == 2 for beta in sidecar["beta"])
+
+    @fork_only
+    @pytest.mark.parametrize("end, how", [
+        (lambda: os._exit(7), "exit code 7"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9"),
+    ], ids=["exit", "kill"])
+    def test_a_dead_fit_worker_exits_1_in_one_named_line(
+        self, tmp_path, usable_cpus, monkeypatch, capfd, end, how
+    ):
+        # one series per batch, pooled on two CPUs; the pool ends the other
+        # worker with SIGTERM, and the line names how the first one ended
+        expr, ann, cov, _, _ = self._toy_inputs(tmp_path)
+        usable_cpus(2)
+        monkeypatch.setattr(correction, "BATCH_POINTS", 1)
+        monkeypatch.setattr(segment, "WORKER_CELLS", 1)
+        parent, kernel = os.getpid(), correction._dp_kernel
+
+        def ending(*args):
+            if os.getpid() != parent:
+                end()
+            return kernel(*args)
+
+        monkeypatch.setattr(correction, "_dp_kernel", ending)
+        capfd.readouterr()
+        assert main(["correct", "--input", str(expr), "--annotation", str(ann),
+                     "--covariate", str(cov), "--out", str(tmp_path / "out")]) == 1
+        assert capfd.readouterr().err.splitlines() == [
+            f"corrseg: a worker process fitting covariate batches ended with {how}"
+            " before its work was done"]
+        assert multiprocessing.active_children() == []
 
     def test_step_breakpoint_in_sidecar(self, tmp_path):
         expr, ann, cov, _, _ = self._toy_inputs(tmp_path, step=True)

@@ -1,5 +1,7 @@
 """Scenario generation and the gene/region evaluation metrics."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,9 +14,7 @@ from corrseg.simulate import (
     ScenarioSpec,
     default_scenario,
     evaluate,
-    gene_metrics,
     generate,
-    region_metrics,
 )
 
 
@@ -181,6 +181,70 @@ def truth_one_chrom(p, blocks):
         t[a:b] = True
     return {"chr1": t}
 
+def oracle_counts(chromosomes, runs):
+    """(TP, FP, TN, FN) over (truth, called) pairs, one per chromosome,
+    counted gene by gene: genes, or with runs, status changes (a
+    chromosome's first gene always starts a run)."""
+    counts = dict.fromkeys([(True, True), (False, True), (False, False), (True, False)], 0)
+    for truth, called in chromosomes:
+        previous = None
+        for status in zip(map(bool, truth), map(bool, called)):
+            if not runs or status != previous:
+                counts[status] += 1
+            previous = status
+    return tuple(counts.values())
+
+def oracle_curves(truth_by_chrom, reports):
+    """Thresholds and both levels' (tpr, fpr) points by brute force: loops
+    over thresholds, then chromosomes, then genes."""
+    scores = {name: [math.inf] * len(t) for name, t in truth_by_chrom.items()}
+    for r in reports:
+        scores[r.chromosome][r.start - 1 : r.end] = [r.p_value if r.tested else math.inf] * r.p_k
+    thresholds = sorted({s for row in scores.values() for s in row if s < math.inf})
+    genes, regions = [], []
+    for t in thresholds:
+        chromosomes = [(truth_by_chrom[name], [s <= t for s in scores[name]]) for name in truth_by_chrom]
+        for points, runs in ((genes, False), (regions, True)):
+            tp, fp, tn, fn = oracle_counts(chromosomes, runs)
+            points.append((tp / (tp + fn), fp / (fp + tn)))
+    return thresholds, genes, regions
+
+@st.composite
+def scored_genomes(draw):
+    """1-3 chromosomes of 1-30 genes, each tiled by contiguous regions, some
+    untested; p-values come from a pool of at most four, so they repeat."""
+    names = draw(st.lists(st.sampled_from(["chr1", "chr2", "chr10", "chrX"]),
+                          min_size=1, max_size=3, unique=True))
+    pool = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    truth, reports = {}, []
+    for name in names:
+        p = draw(st.integers(1, 30))
+        truth[name] = np.array(draw(st.lists(st.booleans(), min_size=p, max_size=p)))
+        cuts = [j for j in range(1, p) if draw(st.booleans())]
+        for start, stop in zip([0, *cuts], [*cuts, p]):
+            tested = draw(st.integers(0, 4)) > 0
+            p_value = draw(st.sampled_from(pool)) if tested else math.nan
+            reports.append(report(name, start + 1, stop, p_value, tested=tested))
+    return truth, reports
+
+@settings(max_examples=300, deadline=None)
+@given(scored_genomes())
+def test_evaluate_matches_a_brute_force_oracle(case):
+    truth, reports = case
+    genes = np.concatenate(list(truth.values()))
+    if genes.all() or not genes.any():
+        with pytest.raises(GridMismatch, match="both H0 and H1"):
+            evaluate(truth, reports)
+        return
+    res = evaluate(truth, reports)
+    thresholds, *levels = oracle_curves(truth, reports)
+    for roc, points in zip((res.gene_level, res.region_level), levels):
+        assert roc.thresholds == tuple(thresholds)
+        assert list(zip(roc.tpr, roc.fpr)) == points
+        corners = sorted([(0.0, 0.0), *((f, t) for t, f in points), (1.0, 1.0)])
+        area = sum((f1 - f0) * (t0 + t1) / 2 for (f0, t0), (f1, t1) in zip(corners, corners[1:]))
+        assert roc.auc == pytest.approx(area, abs=1e-12)
+
 def test_gene_metrics_perfect_calls():
     truth = truth_one_chrom(20, [(5, 10)])
     calls = [
@@ -188,7 +252,7 @@ def test_gene_metrics_perfect_calls():
         report("chr1", 6, 10, 1e-9),
         report("chr1", 11, 20, 0.9),
     ]
-    roc = gene_metrics(truth, calls)
+    roc = evaluate(truth, calls).gene_level
     assert roc.auc == pytest.approx(1.0)
     idx = int(np.argmin(np.abs(np.asarray(roc.thresholds) - 1e-9)))
     assert roc.tpr[idx] == 1.0 and roc.fpr[idx] == 0.0
@@ -196,7 +260,7 @@ def test_gene_metrics_perfect_calls():
 def test_gene_metrics_all_significant():
     truth = truth_one_chrom(12, [(3, 7)])
     calls = [report("chr1", 1, 12, 1e-4)]
-    roc = gene_metrics(truth, calls)
+    roc = evaluate(truth, calls).gene_level
     assert roc.tpr[-1] == 1.0 and roc.fpr[-1] == 1.0
     assert roc.auc == pytest.approx(0.5)
 
@@ -210,7 +274,7 @@ def test_gene_metrics_random_detector_near_half():
             report("chr1", j + 1, j + 1, float(rng.uniform()))
             for j in range(p)
         ]
-        aucs.append(gene_metrics(truth, calls).auc)
+        aucs.append(evaluate(truth, calls).gene_level.auc)
     assert abs(np.mean(aucs) - 0.5) < 0.05
 
 def test_region_metrics_identical_calls():
@@ -220,7 +284,7 @@ def test_region_metrics_identical_calls():
         report("chr1", 11, 20, 1e-8),
         report("chr1", 21, 30, 0.6),
     ]
-    roc = region_metrics(truth, calls)
+    roc = evaluate(truth, calls).region_level
     idx = int(np.argmin(np.abs(np.asarray(roc.thresholds) - 1e-8)))
     assert roc.tpr[idx] == 1.0 and roc.fpr[idx] == 0.0
     assert roc.auc == pytest.approx(1.0)
@@ -236,7 +300,7 @@ def test_region_metrics_split_run_counts():
         report("chr1", 16, 20, 1e-6),
         report("chr1", 21, 30, 0.9),
     ]
-    roc = region_metrics(truth, calls)
+    roc = evaluate(truth, calls).region_level
     idx = int(np.argmin(np.abs(np.asarray(roc.thresholds) - 1e-6)))
     # TP=2, FN=1, TN=2 (the two H0 runs), FP=0
     assert roc.tpr[idx] == pytest.approx(2.0 / 3.0)
@@ -245,11 +309,11 @@ def test_region_metrics_split_run_counts():
 def test_region_metrics_no_calls():
     truth = truth_one_chrom(16, [(4, 8)])
     calls = [report("chr1", 1, 16, 1.0)]
-    roc = region_metrics(truth, calls)
+    roc = evaluate(truth, calls).region_level
     assert 1.0 in roc.thresholds
-    # region counts at a level below every p-value: the empty call set
-    from corrseg.simulate import _region_counts
-    tp, fp, tn, fn = _region_counts(truth["chr1"], np.zeros(16, dtype=bool))
+    # region counts at a level below every p-value: the empty call set,
+    # which no threshold of the sweep reaches, so the oracle counts them
+    tp, fp, tn, fn = oracle_counts([(truth["chr1"], np.zeros(16, dtype=bool))], runs=True)
     assert (tp, fp) == (0, 0)
     assert fn == 1 and tn == 2
     assert tp / (tp + fn) == 0.0
@@ -271,7 +335,7 @@ def test_evaluate_bundles_both_levels():
         assert np.all(np.diff(tpr[order]) >= -1e-12)
 
 def test_evaluate_scores_genes_once(monkeypatch):
-    # both levels rank the same per-gene scores; the public functions agree
+    # both levels rank the same per-gene scores; counting changes nothing
     truth = {"chr1": truth_one_chrom(20, [(5, 10)])["chr1"], "chr2": np.zeros(6, dtype=bool)}
     calls = [report("chr1", 1, 5, 0.8), report("chr1", 6, 10, 1e-9),
              report("chr1", 11, 20, 0.9), report("chr2", 1, 6, 0.3)]
@@ -284,8 +348,9 @@ def test_evaluate_scores_genes_once(monkeypatch):
     monkeypatch.setattr(simulate, "_gene_scores", counted)
     res = evaluate(truth, calls)
     assert len(calls_made) == 1
-    assert res.gene_level == gene_metrics(truth, calls)
-    assert res.region_level == region_metrics(truth, calls)
+    monkeypatch.undo()
+    assert res.gene_level == evaluate(truth, calls).gene_level
+    assert res.region_level == evaluate(truth, calls).region_level
 
 def test_untested_regions_never_called():
     truth = truth_one_chrom(10, [(0, 4)])
@@ -293,7 +358,7 @@ def test_untested_regions_never_called():
         report("chr1", 1, 4, float("nan"), tested=False),
         report("chr1", 5, 10, 0.2),
     ]
-    roc = gene_metrics(truth, calls)
+    roc = evaluate(truth, calls).gene_level
     # untested genes rank last: at the only finite threshold the H1 block
     # stays uncalled while the tested H0 region is called
     assert list(roc.thresholds) == [0.2]
@@ -302,11 +367,11 @@ def test_untested_regions_never_called():
 def test_grid_mismatch_cases():
     truth = truth_one_chrom(10, [(2, 5)])
     with pytest.raises(GridMismatch):
-        gene_metrics(truth, [report("chr2", 1, 10, 0.5)])
+        evaluate(truth, [report("chr2", 1, 10, 0.5)])
     with pytest.raises(GridMismatch):
-        gene_metrics(truth, [report("chr1", 1, 12, 0.5)])
+        evaluate(truth, [report("chr1", 1, 12, 0.5)])
     with pytest.raises(GridMismatch):
-        gene_metrics(truth, [report("chr1", 1, 6, 0.5)])  # genes 7..10 uncovered
+        evaluate(truth, [report("chr1", 1, 6, 0.5)])  # genes 7..10 uncovered
 
 def test_multi_chromosome_aggregation():
     truth = {
@@ -324,3 +389,14 @@ def test_multi_chromosome_aggregation():
     idx = int(np.argmin(np.abs(np.asarray(res.region_level.thresholds) - 1e-5)))
     assert res.region_level.tpr[idx] == 1.0
     assert res.region_level.fpr[idx] == 0.0
+
+def test_region_runs_restart_at_a_chromosome_boundary():
+    # chr1 ends in a TN run and chr2 starts with one: two TN regions, so the
+    # FPR at 0.01 is 1 FP over 1 FP + 2 TN; merged runs would give 1/2
+    truth = {"chr1": np.zeros(4, dtype=bool), "chr2": np.array([False] * 4 + [True] * 2)}
+    calls = [report("chr1", 1, 2, 0.01), report("chr1", 3, 4, 0.9),
+             report("chr2", 1, 4, 0.9), report("chr2", 5, 6, 0.01)]
+    roc = evaluate(truth, calls).region_level
+    idx = roc.thresholds.index(0.01)
+    assert roc.tpr[idx] == 1.0
+    assert roc.fpr[idx] == pytest.approx(1 / 3)

@@ -2,10 +2,10 @@
 
 Every run writes its outputs plus a manifest.json recording the resolved
 configuration, library version, and seed; reruns with the same flags
-produce byte-identical files. Exit codes: 0 success, 1 a worker process
-ended early (named with its exit code or signal), 2 ingestion failure
-(unreadable or malformed input), 3 validation failure (readable input or
-flags violating a contract).
+produce byte-identical files. Exit codes: 0 success, 1 a forked process
+running a share of a DP ended early (named by what it held and its exit
+code or signal), 2 ingestion failure (unreadable or malformed input), 3
+validation failure (readable input or flags violating a contract).
 """
 
 from __future__ import annotations

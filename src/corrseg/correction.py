@@ -11,19 +11,22 @@ through the usual segmentation/testing pipeline.
 
 from __future__ import annotations
 
+import functools
+import math
+import mmap
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import ExpressionMatrix
-from .errors import (DegenerateCovariateWarning, DPBandFailed, KTooLarge, NoProbesOnChromosome,
-                     TooFewProbes)
+from .errors import DegenerateCovariateWarning, KTooLarge, NoProbesOnChromosome, TooFewProbes
 from .segment import (
     LOG_EPS,
     TILE,
     _backtrack,
     _dp_kernel,
+    _forked,
     _tile_views,
     _workers,
     default_k_max,
@@ -89,13 +92,12 @@ def _rss_cost(values: np.ndarray):
     return cost
 
 
-def _fit_batch(job: tuple[np.ndarray, int, float, bool]) -> list[list[int]]:
+def _fit_batch(values: np.ndarray, km: int, S: float, fixed: bool) -> list[list[int]]:
     """Breakpoints of every series in one batch, from one kernel pass.
 
-    job is (values, k_max, S, fixed): values stacks the batch's sorted
-    series (batch, t); with fixed, every series gets k_max segments.
+    values stacks the batch's sorted series (batch, t); with fixed, every
+    series gets km segments.
     """
-    values, km, S, fixed = job
     batch, t = values.shape
     D, B = _dp_kernel(_rss_cost(values), t, km, 1, batch)
     if fixed:
@@ -121,9 +123,9 @@ def segment_covariate(
     log-likelihood of the residual sum of squares; fixed_k overrides it.
     Series of one length t are fitted BATCH_POINTS // t (at least one) per
     kernel pass. On Linux, when the fits are large enough to pay for it, the
-    batches run in forked worker processes, at most one per usable CPU and
-    within POOL_TABLE_BYTES of tables; the fits come back in the order of
-    series either way.
+    batches are dealt round-robin to forked workers, at most one per usable
+    CPU and within POOL_TABLE_BYTES of tables; the fits come back in the
+    order of series either way.
     """
     if k_max is not None and k_max < 1:
         raise KTooLarge(f"k_max={k_max} out of range for a covariate series; need k_max >= 1")
@@ -145,34 +147,32 @@ def segment_covariate(
         batches += [(members[a : a + size], km) for a in range(0, len(members), size)]
         cells += pass_size(t, km, len(members))[0]
         table_bytes = max(table_bytes, pass_size(t, km, min(size, len(members)))[1])
-    # built lazily, so an inline run holds one batch's stack at a time
-    jobs = ((np.stack([tracks[i][2] for i in batch]), km, S, fixed_k is not None)
-            for batch, km in batches)
     workers = _workers(len(batches), cells, table_bytes)
-    if workers == 1:
-        results = map(_fit_batch, jobs)
-    else:
-        import multiprocessing
-        import signal
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
+    shares = [batches[w::workers] for w in range(workers)]
+    # row i: series i's breakpoints, then -1s; in a mapping the workers share
+    shape = (len(tracks), 1 + max((km for _, km in batches), default=0))
+    bps = np.ndarray(shape, np.int32, None if workers == 1 else mmap.mmap(-1, 4 * math.prod(shape)))
+    bps.fill(-1)
 
-        # fork, not forkserver or spawn: a worker starts with numpy loaded
-        try:
-            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                processes = pool._processes  # by pid; the broken pool joins them all
-                results = list(pool.map(_fit_batch, jobs))
-        except BrokenProcessPool:
-            # once one worker ends, the pool ends the others with SIGTERM
-            codes = [process.exitcode for process in processes.values()]
-            code = next((c for c in codes if c != -signal.SIGTERM), -signal.SIGTERM)
-            raise DPBandFailed.ended("a worker process fitting covariate batches", code)
-    fits = [None] * len(tracks)
-    for (batch, _), breakpoints in zip(batches, results):
-        for i, bps in zip(batch, breakpoints):
-            patient, positions, values = tracks[i]
-            means = tuple(float(values[a:b].mean()) for a, b in zip(bps[:-1], bps[1:]))
-            fits[i] = PatientFit(patient, positions, tuple(bps), means)
+    def fit(share):
+        for members, km in share:  # one batch's stack at a time
+            values = np.stack([tracks[i][2] for i in members])
+            for i, row in zip(members, _fit_batch(values, km, S, fixed_k is not None)):
+                bps[i, : len(row)] = row
+
+    def held(w):
+        count, first = sum(len(members) for members, _ in shares[w]), shares[w][0][0][0]
+        return f"the process fitting {count} covariate series (patient {tracks[first][0]!r} first)"
+
+    if workers == 1:
+        fit(batches)
+    else:
+        _forked([(functools.partial(fit, share), []) for share in shares], held)
+    fits = []
+    for (patient, positions, values), row in zip(tracks, bps):
+        row = row[row >= 0].tolist()
+        means = tuple(float(values[a:b].mean()) for a, b in zip(row[:-1], row[1:]))
+        fits.append(PatientFit(patient, positions, tuple(row), means))
     return tuple(fits)
 
 

@@ -99,8 +99,8 @@ class SchemaError(ValidationError):
 
 
 class DPBandFailed(CorrsegError):
-    """A forked process running a band of rows of a DP pass, or covariate
-    fits, ended before its work was done (CLI exit code 1)."""
+    """A forked process running a share of a DP (a band of rows or covariate
+    batches) died or raised before its work was done (CLI exit code 1)."""
 
     @classmethod
     def ended(cls, what: str, exitcode: int) -> DPBandFailed:

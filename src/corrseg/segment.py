@@ -10,6 +10,7 @@ shows its largest slope change.
 
 from __future__ import annotations
 
+import functools
 import math
 import mmap
 import os
@@ -286,55 +287,53 @@ def _handoff(fd: int, read: bool) -> None:
 
 
 def _run_bands(cost, E, B, min_seg_len: int, bands: int) -> None:
-    """Fill shared E and B in bands of rows: the top band here, each other
-    band in a forked child, pipelined over tiles.
+    """Fill shared E and B in bands of rows, each in a forked child,
+    pipelined over tiles: pipe i carries band i's finished tiles to band
+    i + 1. DPBandFailed names the first band to die by its rows."""
+    k_max = B.shape[-2]
+    bounds = [k_max * i // bands for i in range(bands + 1)]
+    pipes = [os.pipe() for _ in range(bands - 1)]
+    ups, downs = [None, *(r for r, _ in pipes)], [*(w for _, w in pipes), None]
+    tasks = [(functools.partial(_band, cost, E, B, min_seg_len, bounds[i], bounds[i + 1], up, down),
+              [fd for fd in (up, down) if fd is not None])
+             for i, (up, down) in enumerate(zip(ups, downs))]
+    _forked(tasks, lambda i: f"the process filling rows K = {bounds[i] + 1}-{bounds[i + 1]}"
+                             " of a DP pass")
 
-    Pipe i carries band i's finished tiles to band i + 1, and the last
-    band's back here. Every process closes the pipe ends it does not use,
-    so a band's end reaches the bands next to it, and this process, on its
-    pipes. The children are gone when this returns or raises; DPBandFailed
-    names the first child to end by its rows and exit status.
+
+def _forked(tasks, what) -> None:
+    """Run each task (fn, the pipe ends fn uses) in a forked daemonic child.
+
+    A child closes the other pipe ends and exits 0 when fn returns or meets
+    EOFError or BrokenPipeError (a neighbour ended first), else 1, silently.
+    This process closes every pipe end once the children start and joins
+    them; DPBandFailed names the first to end nonzero as what(i).
     """
     import multiprocessing
 
-    k_max, m = B.shape[-2:]
-    bounds = [k_max * i // bands for i in range(bands + 1)]
-    pipes = [os.pipe() for _ in range(bands)]
-    fds, mine = {fd for pipe in pipes for fd in pipe}, {pipes[0][1], pipes[-1][0]}
-    fork, children, ended = multiprocessing.get_context("fork"), [], False
+    fork, children = multiprocessing.get_context("fork"), []
+    fds = {fd for _, own in tasks for fd in own}
     try:
-        for i in range(1, bands):
-            args = (cost, E, B, min_seg_len, bounds[i], bounds[i + 1], pipes[i - 1][0], pipes[i][1])
-            children.append(fork.Process(target=_child_band, args=(fds, *args), daemon=True))
+        for fn, own in tasks:
+            children.append(fork.Process(target=_child, args=(fn, fds - set(own)), daemon=True))
             children[-1].start()
-        for fd in fds - mine:
-            os.close(fd)
-        fds = mine
-        _band(cost, E, B, min_seg_len, 0, bounds[1], down=pipes[0][1])
-        for _ in range(0, m, TILE):
-            _handoff(pipes[-1][0], read=True)
-    except (EOFError, BrokenPipeError):
-        ended = True
     finally:
         # once this process's pipe ends close, every child finishes or ends
         for fd in fds:
             os.close(fd)
         for child in children:
             child.join()
-    if ended:
-        # a child that ended because a neighbour did exits 0
-        i, child = next((i, child) for i, child in enumerate(children, 1) if child.exitcode)
-        rows = f"rows K = {bounds[i] + 1}-{bounds[i + 1]}"
-        raise DPBandFailed.ended(f"the process filling {rows} of a DP pass", child.exitcode)
+    for i, child in enumerate(children):
+        if child.exitcode:
+            raise DPBandFailed.ended(what(i), child.exitcode)
 
 
-def _child_band(fds: set[int], cost, E, B, min_seg_len, k0, k1, up, down) -> None:
-    """A forked band: close the pipe ends it does not use, then fill its rows.
-    It exits 0 if a band next to it ended first, else 1 on an exception."""
-    for fd in fds - {up, down}:
+def _child(fn, others: set[int]) -> None:
+    """A forked task: close the pipe ends it does not use, then run fn."""
+    for fd in others:
         os.close(fd)
     try:
-        _band(cost, E, B, min_seg_len, k0, k1, up, down)
+        fn()
     except (EOFError, BrokenPipeError):
         pass
     except BaseException:

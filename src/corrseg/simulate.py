@@ -222,6 +222,8 @@ def _gene_scores(
         row[r.start - 1 : r.end] = r.p_value if r.tested else np.inf
     names = sorted(truth_by_chrom)
     for name in names:
+        if (dtype := np.asarray(truth_by_chrom[name]).dtype) != bool:
+            raise GridMismatch(f"truth labels on {name} must be boolean, not {dtype}")
         uncovered = np.flatnonzero(np.isnan(scores[name]))
         if uncovered.size:
             raise GridMismatch(f"gene {uncovered[0] + 1} on {name} is in no region")

@@ -7,6 +7,8 @@ statistical tolerances leave wide margins at the chosen replicate counts.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,10 @@ def cost_grid(m: ExpressionMatrix) -> np.ndarray:
     S = block_sums(build_gram_prefix(m), idx[:, None], idx[None, :])
     return _closed_form_cost(S, idx[None, :] - idx[:, None], m.n)
 
+def open_fds() -> int:
+    """Open file descriptors of this process, as Linux lists them."""
+    return len(os.listdir("/proc/self/fd"))
+
 
 @pytest.fixture
 def rng():
@@ -75,7 +81,7 @@ def rng():
 
 @pytest.fixture
 def usable_cpus(monkeypatch):
-    """Set the CPUs `segment.usable_cpus` reports, which size every worker pool."""
+    """Set the CPUs `segment.usable_cpus` reports, which cap every count of forked workers."""
     def set_cpus(n):
         monkeypatch.setattr(segment, "usable_cpus", lambda: n)
     return set_cpus

@@ -25,6 +25,7 @@ from corrseg import correction, io, segment
 from corrseg.cli import main
 from corrseg.core import ExpressionMatrix
 from corrseg.pipeline import correct_view, segment_all, segmentation_rows, split_by_chromosome
+from conftest import open_fds
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TOY_EXPR = FIXTURES / "toy_expression.tsv"
@@ -35,6 +36,10 @@ TOY_ANN = FIXTURES / "toy_annotation.tsv"
 TOY_TRUTH = [(0, 15), (15, 25), (25, 40), (40, 50), (50, 60)]
 
 fork_only = pytest.mark.skipif(sys.platform != "linux", reason="worker processes fork only on Linux")
+
+
+def run_out_of_memory():
+    raise MemoryError
 
 
 def read_tsv(path: Path) -> list[dict]:
@@ -295,8 +300,8 @@ class TestSegmentCommand:
 
     @fork_only
     def test_a_dead_band_exits_1_in_one_named_line(self, tmp_path, usable_cpus, monkeypatch, capfd):
-        # on two CPUs each p = 1000 pass (k_max 100) runs rows K = 51-100 in a
-        # child band, which here runs out of memory
+        # on two CPUs each p = 1000 pass (k_max 100) runs rows K = 1-50 and
+        # 51-100 in two child bands, which here run out of memory
         assert main(["simulate", "--p", "1000", "--out", str(tmp_path)]) == 0
         usable_cpus(2)
         parent, band = os.getpid(), segment._band
@@ -308,13 +313,15 @@ class TestSegmentCommand:
 
         monkeypatch.setattr(segment, "_band", starved)
         capfd.readouterr()
+        fds = open_fds()
         assert main(["segment", "--input", str(tmp_path / "expression.tsv"),
                      "--annotation", str(tmp_path / "annotation.tsv"),
                      "--out", str(tmp_path / "seg")]) == 1
         assert capfd.readouterr().err.splitlines() == [
-            "corrseg: the process filling rows K = 51-100 of a DP pass ended with exit code 1"
+            "corrseg: the process filling rows K = 1-50 of a DP pass ended with exit code 1"
             " before its work was done"]
         assert multiprocessing.active_children() == []
+        assert open_fds() == fds
 
 
 class TestTestCommand:
@@ -549,12 +556,14 @@ class TestCorrectCommand:
     @pytest.mark.parametrize("end, how", [
         (lambda: os._exit(7), "exit code 7"),
         (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9"),
-    ], ids=["exit", "kill"])
+        (run_out_of_memory, "exit code 1"),
+    ], ids=["exit", "kill", "raise"])
     def test_a_dead_fit_worker_exits_1_in_one_named_line(
         self, tmp_path, usable_cpus, monkeypatch, capfd, end, how
     ):
-        # one series per batch, pooled on two CPUs; the pool ends the other
-        # worker with SIGTERM, and the line names how the first one ended
+        # one series per batch, on two CPUs: each worker holds two of the
+        # four patients' series, and the line names what the first one held
+        # and how it ended
         expr, ann, cov, _, _ = self._toy_inputs(tmp_path)
         usable_cpus(2)
         monkeypatch.setattr(correction, "BATCH_POINTS", 1)
@@ -568,12 +577,14 @@ class TestCorrectCommand:
 
         monkeypatch.setattr(correction, "_dp_kernel", ending)
         capfd.readouterr()
+        fds = open_fds()
         assert main(["correct", "--input", str(expr), "--annotation", str(ann),
                      "--covariate", str(cov), "--out", str(tmp_path / "out")]) == 1
         assert capfd.readouterr().err.splitlines() == [
-            f"corrseg: a worker process fitting covariate batches ended with {how}"
+            f"corrseg: the process fitting 2 covariate series (patient 'P1' first) ended with {how}"
             " before its work was done"]
         assert multiprocessing.active_children() == []
+        assert open_fds() == fds
 
     def test_step_breakpoint_in_sidecar(self, tmp_path):
         expr, ann, cov, _, _ = self._toy_inputs(tmp_path, step=True)

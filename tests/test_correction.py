@@ -24,6 +24,7 @@ from corrseg.correction import (
 )
 from corrseg.errors import (
     DegenerateCovariateWarning,
+    DPBandFailed,
     KTooLarge,
     NoProbesOnChromosome,
     TooFewProbes,
@@ -40,7 +41,7 @@ from corrseg.segment import (
     slope_change_choice,
 )
 from corrseg.significance import estimate_rho0
-from conftest import as_matrix, blocked_matrix
+from conftest import as_matrix, blocked_matrix, open_fds
 
 
 def track_for(values_by_patient, positions=None):
@@ -357,10 +358,12 @@ def test_pooled_fits_equal_inline_fits(batch_points, workers, monkeypatch):
     monkeypatch.setattr(correction, "_workers", lambda *fit_size: 1)
     inline = segment_covariate(tracks, k_max=12)
     monkeypatch.setattr(correction, "_workers", lambda *fit_size: workers)
+    fds = open_fds()
     pooled = segment_covariate(tracks, k_max=12)
     assert [fit.patient for fit in pooled] == list(tracks)
     assert len(pooled) == len(inline) and all(map(fits_equal, pooled, inline))
     assert multiprocessing.active_children() == []
+    assert open_fds() == fds
 
 class KernelFault(Exception):
     """Raised by a patched kernel inside a worker."""
@@ -376,9 +379,13 @@ def test_worker_fault_reaches_the_caller_and_leaves_no_worker(monkeypatch):
 
     monkeypatch.setattr(correction, "_dp_kernel", faulty)
     monkeypatch.setattr(correction, "_workers", lambda *fit_size: 2)
-    with pytest.raises(KernelFault, match="in a worker"):
+    fds = open_fds()
+    # the worker exits 1 without a traceback; the line names what it held
+    with pytest.raises(DPBandFailed, match=r"fitting 7 covariate series \(patient 'P00' first\)"
+                       " ended with exit code 1 "):
         segment_covariate(_mixed_tracks(np.random.default_rng(3)))
     assert multiprocessing.active_children() == []
+    assert open_fds() == fds
 
 @fork_only
 def test_fits_from_a_daemonic_worker_run_inline(usable_cpus, monkeypatch):

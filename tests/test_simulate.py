@@ -373,6 +373,14 @@ def test_grid_mismatch_cases():
     with pytest.raises(GridMismatch):
         evaluate(truth, [report("chr1", 1, 6, 0.5)])  # genes 7..10 uncovered
 
+def test_a_non_boolean_truth_is_named():
+    # scored as it stands, ~ on a 0/1 integer truth is a bitwise not: the
+    # gene-level FPR goes negative and the AUC above 1
+    truth = {"chr1": np.ones(3, dtype=bool), "chr2": np.array([0, 0, 1, 1])}
+    calls = [report("chr1", 1, 3, 0.5), report("chr2", 1, 2, 0.5), report("chr2", 3, 4, 0.01)]
+    with pytest.raises(GridMismatch, match="^truth labels on chr2 must be boolean, not int"):
+        evaluate(truth, calls)
+
 def test_multi_chromosome_aggregation():
     truth = {
         "chr1": truth_one_chrom(10, [(2, 6)])["chr1"],

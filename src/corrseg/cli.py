@@ -5,7 +5,8 @@ configuration, library version, and seed; reruns with the same flags
 produce byte-identical files. Exit codes: 0 success, 1 a forked process
 running a share of a DP ended early (named by what it held and its exit
 code or signal), 2 ingestion failure (unreadable or malformed input), 3
-validation failure (readable input or flags violating a contract).
+validation failure (readable input or flags violating a contract), 130
+interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -422,6 +423,9 @@ def main(argv: list[str] | None = None) -> int:
     except CorrsegError as exc:
         print(f"corrseg: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("corrseg: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

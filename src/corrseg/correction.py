@@ -12,8 +12,6 @@ through the usual segmentation/testing pipeline.
 from __future__ import annotations
 
 import functools
-import math
-import mmap
 import warnings
 from dataclasses import dataclass, replace
 
@@ -27,6 +25,7 @@ from .segment import (
     _backtrack,
     _dp_kernel,
     _forked,
+    _table,
     _tile_views,
     _workers,
     default_k_max,
@@ -151,7 +150,7 @@ def segment_covariate(
     shares = [batches[w::workers] for w in range(workers)]
     # row i: series i's breakpoints, then -1s; in a mapping the workers share
     shape = (len(tracks), 1 + max((km for _, km in batches), default=0))
-    bps = np.ndarray(shape, np.int32, None if workers == 1 else mmap.mmap(-1, 4 * math.prod(shape)))
+    bps = _table(shape, np.int32, workers > 1)
     bps.fill(-1)
 
     def fit(share):
@@ -164,10 +163,7 @@ def segment_covariate(
         count, first = sum(len(members) for members, _ in shares[w]), shares[w][0][0][0]
         return f"the process fitting {count} covariate series (patient {tracks[first][0]!r} first)"
 
-    if workers == 1:
-        fit(batches)
-    else:
-        _forked([(functools.partial(fit, share), []) for share in shares], held)
+    _forked([(functools.partial(fit, share), []) for share in shares], held)
     fits = []
     for (patient, positions, values), row in zip(tracks, bps):
         row = row[row >= 0].tolist()

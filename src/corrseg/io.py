@@ -459,10 +459,18 @@ def write_truth(path: str | Path, truth_by_chrom: dict[str, np.ndarray], gene_id
     write_rows(path, ["gene", "chromosome", "label"], rows)
 
 def read_truth(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a truth table (gene, chromosome, label) into per-chromosome flags."""
-    cols, _ = _read_table(Path(path), (_Column(_CHROMOSOME), _Column(("label", "status"), _h1)))
+    """Read a truth table (gene, chromosome, label) into per-chromosome flags in
+    row order, so a chromosome's gene ids must rise strictly in `natural_key` order."""
+    path = Path(path)
+    columns = (_Column(("gene", "gene_id", "id")), _Column(_CHROMOSOME), _Column(("label", "status"), _h1))
+    cols, lines = _read_table(path, columns)
     acc: dict[str, list[bool]] = {}
-    for chrom, flag in zip(cols["chromosome"], cols["label"]):
+    last: dict[str, str] = {}
+    for gene, chrom, flag, line in zip(cols["gene"], cols["chromosome"], cols["label"], lines):
+        if chrom in last and natural_key(gene) <= natural_key(last[chrom]):
+            raise SchemaError(f"{path}: row {line}: gene {gene!r} does not follow {last[chrom]!r}"
+                              f" on {chrom}; truth rows must list a chromosome's genes in order")
+        last[chrom] = gene
         acc.setdefault(chrom, []).append(flag)
     return {chrom: np.array(flags, dtype=bool) for chrom, flags in acc.items()}
 

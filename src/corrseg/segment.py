@@ -213,25 +213,32 @@ def _dp_kernel(cost, m: int, k_max: int, min_seg_len: int, batch: int | None = N
     go to the lowest), defined only where D is finite. Rows k <= K do not
     depend on k_max, so any K up to k_max backtracks from the same B.
     With a batch, the tiles, D and B lead with a series axis that long.
-    With bands > 1, contiguous bands of rows run in forked processes on
-    shared tables (`_run_bands`); D and B are the same bits.
+    The rows run in `bands` contiguous bands through `_forked`: one in the
+    calling process, more each in a forked child, pipelined over tiles with
+    each table in its own shared mapping. D and B are the same bits.
     """
     shape = (*(() if batch is None else (batch,)), k_max, m + 1)
-    if bands == 1:
-        # E[k, s] = D[k, s - 1]; its +inf column 0 lets a segment start s
-        # index the row it extends, so each add reads whole contiguous rows
-        E = np.full(shape, np.inf)
-        B = np.zeros((*shape[:-1], m), dtype=np.int32)
-        _band(cost, E, B, min_seg_len, 0, k_max)
-    else:
-        # one anonymous shared mapping holds E, then B
-        tables = mmap.mmap(-1, pass_size(m, k_max, batch or 1)[1])
-        E = np.frombuffer(tables, count=math.prod(shape)).reshape(shape)
-        E.fill(np.inf)
-        B = np.frombuffer(tables, np.int32, offset=E.nbytes).reshape(*shape[:-1], m)
-        _run_bands(cost, E, B, min_seg_len, bands)
+    # E[k, s] = D[k, s - 1]; its +inf column 0 lets a segment start s
+    # index the row it extends, so each add reads whole contiguous rows
+    E = _table(shape, np.float64, bands > 1)
+    E.fill(np.inf)
+    B = _table((*shape[:-1], m), np.int32, bands > 1)
+    bounds = [k_max * i // bands for i in range(bands + 1)]
+    # pipe i carries band i's finished tiles to band i + 1
+    pipes = [os.pipe() for _ in range(bands - 1)]
+    ups, downs = [None, *(r for r, _ in pipes)], [*(w for _, w in pipes), None]
+    tasks = [(functools.partial(_band, cost, E, B, min_seg_len, bounds[i], bounds[i + 1], up, down),
+              [fd for fd in (up, down) if fd is not None])
+             for i, (up, down) in enumerate(zip(ups, downs))]
+    _forked(tasks, lambda i: f"the process filling rows K = {bounds[i] + 1}-{bounds[i + 1]}"
+                             " of a DP pass")
     return E[..., 1:], B
 
+def _table(shape: tuple[int, ...], dtype, shared: bool) -> np.ndarray:
+    """A zeroed table; shared, in an anonymous mapping forked children write into."""
+    if not shared:
+        return np.zeros(shape, dtype)
+    return np.ndarray(shape, dtype, mmap.mmap(-1, math.prod(shape) * np.dtype(dtype).itemsize))
 
 def _band(cost, E, B, min_seg_len: int, k0: int, k1: int, up=None, down=None) -> None:
     """Rows k0..k1-1 of E and B in a `_dp_kernel` pass, tile by tile.
@@ -264,8 +271,8 @@ def _band(cost, E, B, min_seg_len: int, k0: int, k1: int, up=None, down=None) ->
         # the flat buffer: argmin reads it uncopied, the minima come at rows + s.
         M = M_flat[: c.size].reshape(c.shape)
         rows = np.arange(0, c.size, b1).reshape(c.shape[:-1])
-        if up is not None:
-            _handoff(up, read=True)
+        if up is not None and not os.read(up, 1):
+            raise EOFError("a band of a DP pass ended before the pass did")
         for k in range(max(k0, 1), k1):
             # M[..., b - b0, s] = best k segments of 0..s-1, then segment
             # s..b; s = 0 and s > b are +inf, in E and in c
@@ -274,48 +281,30 @@ def _band(cost, E, B, min_seg_len: int, k0: int, k1: int, up=None, down=None) ->
             E[..., k, b0 + 1 : b1 + 1] = M_flat[rows + s]
             B[..., k, b0:b1] = s - 1
         if down is not None:
-            _handoff(down, read=False)
-
-
-def _handoff(fd: int, read: bool) -> None:
-    """Take (read) or send one finished tile's byte on a band pipe; EOFError
-    or BrokenPipeError means the band at the other end has ended."""
-    if not read:
-        os.write(fd, b"\0")
-    elif not os.read(fd, 1):
-        raise EOFError("a band of a DP pass ended before the pass did")
-
-
-def _run_bands(cost, E, B, min_seg_len: int, bands: int) -> None:
-    """Fill shared E and B in bands of rows, each in a forked child,
-    pipelined over tiles: pipe i carries band i's finished tiles to band
-    i + 1. DPBandFailed names the first band to die by its rows."""
-    k_max = B.shape[-2]
-    bounds = [k_max * i // bands for i in range(bands + 1)]
-    pipes = [os.pipe() for _ in range(bands - 1)]
-    ups, downs = [None, *(r for r, _ in pipes)], [*(w for _, w in pipes), None]
-    tasks = [(functools.partial(_band, cost, E, B, min_seg_len, bounds[i], bounds[i + 1], up, down),
-              [fd for fd in (up, down) if fd is not None])
-             for i, (up, down) in enumerate(zip(ups, downs))]
-    _forked(tasks, lambda i: f"the process filling rows K = {bounds[i] + 1}-{bounds[i + 1]}"
-                             " of a DP pass")
+            os.write(down, b"\0")
 
 
 def _forked(tasks, what) -> None:
-    """Run each task (fn, the pipe ends fn uses) in a forked daemonic child.
+    """Run each task (fn, the pipe ends fn uses): one task in this process,
+    raising what fn raises; two or more each in a forked daemonic child.
 
-    A child closes the other pipe ends and exits 0 when fn returns or meets
-    EOFError or BrokenPipeError (a neighbour ended first), else 1, silently.
-    This process closes every pipe end once the children start and joins
-    them; DPBandFailed names the first to end nonzero as what(i).
+    A child dies with this process, closes the other pipe ends and exits 0
+    when fn returns or meets EOFError or BrokenPipeError (a neighbour ended
+    first), else 1, silently. This process closes every pipe end once the
+    children start and joins them; DPBandFailed names the first to end
+    nonzero as what(i).
     """
+    if len(tasks) == 1:
+        return tasks[0][0]()
+    import ctypes
     import multiprocessing
 
     fork, children = multiprocessing.get_context("fork"), []
-    fds = {fd for _, own in tasks for fd in own}
+    prctl, fds = ctypes.CDLL(None).prctl, {fd for _, own in tasks for fd in own}
     try:
         for fn, own in tasks:
-            children.append(fork.Process(target=_child, args=(fn, fds - set(own)), daemon=True))
+            children.append(fork.Process(target=_child, args=(fn, fds - set(own), prctl, os.getpid()),
+                                         daemon=True))
             children[-1].start()
     finally:
         # once this process's pipe ends close, every child finishes or ends
@@ -328,8 +317,12 @@ def _forked(tasks, what) -> None:
             raise DPBandFailed.ended(what(i), child.exitcode)
 
 
-def _child(fn, others: set[int]) -> None:
-    """A forked task: close the pipe ends it does not use, then run fn."""
+def _child(fn, others: set[int], prctl, parent: int) -> None:
+    """A forked task: be killed when the parent dies, or end now if it
+    already has; close the pipe ends it does not use, then run fn."""
+    prctl(1, 9)  # PR_SET_PDEATHSIG to SIGKILL
+    if os.getppid() != parent:
+        sys.exit(1)
     for fd in others:
         os.close(fd)
     try:

@@ -13,6 +13,7 @@ import json
 import multiprocessing
 import os
 import signal
+import subprocess
 import sys
 import time
 from dataclasses import replace
@@ -819,6 +820,24 @@ class TestEvaluateCommand:
         assert code == 3
         assert f"{files[name]}: row {row}: too few fields" in capsys.readouterr().err
 
+    def test_truth_out_of_gene_order_exit_3(self, tmp_path, capsys):
+        # truth rows re-sorted by gene id as text: read in row order, their
+        # flags would score the wrong genes (gene AUC 0.491 -> 0.341 here)
+        assert main(["simulate", "--p", "150", "--seed", "3", "--out", str(tmp_path)]) == 0
+        common = ["--input", str(tmp_path / "expression.tsv"),
+                  "--annotation", str(tmp_path / "annotation.tsv"), "--out", str(tmp_path)]
+        assert main(["segment", *common]) == 0
+        assert main(["test", *common, "--segmentation", str(tmp_path / "segmentation.tsv")]) == 0
+        truth = tmp_path / "truth.tsv"
+        header, *rows = truth.read_text().splitlines(keepends=True)
+        truth.write_text(header + "".join(sorted(rows, key=lambda row: row.split("\t")[0])))
+        capsys.readouterr()
+        assert main(["evaluate", "--truth", str(truth), "--regions", str(tmp_path / "regions.tsv"),
+                     "--out", str(tmp_path / "eval")]) == 3
+        assert capsys.readouterr().err == (
+            f"corrseg: validation error: {truth}: row 14: gene 'chr1_g11' does not follow"
+            " 'chr1_g109' on chr1; truth rows must list a chromosome's genes in order\n")
+
     @pytest.mark.parametrize("column", ["rho_hat", "rho0", "T_obs", "lambda0", "p_adjusted"])
     def test_bad_float_cell_exit_3(self, tmp_path, capsys, column):
         truth = tmp_path / "truth.tsv"
@@ -911,6 +930,25 @@ class TestPowerCommand:
         assert err.endswith(f", got {first_bad}\n")
         assert not (tmp_path / "power.tsv").exists()
 
+
+def test_an_interrupt_exits_130_in_one_line(tmp_path):
+    # Ctrl-C while the input is read; in a subprocess, so that the interrupt
+    # cannot reach the test process
+    code = f"""if True:
+        import sys
+        from corrseg import cli, io
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        io.read_expression = interrupted
+        sys.exit(cli.main(["segment", "--input", {str(TOY_EXPR)!r}, "--annotation", {str(TOY_ANN)!r},
+                           "--out", {str(tmp_path)!r}]))
+    """
+    src = os.path.dirname(os.path.dirname(io.__file__))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert (run.returncode, run.stderr.splitlines()) == (130, ["corrseg: interrupted"])
 
 def test_version_flag_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:

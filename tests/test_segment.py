@@ -5,10 +5,13 @@ import mmap
 import multiprocessing
 import os
 import signal
+import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from corrseg.core import block_sums, build_gram_prefix, standardize
 from corrseg import segment
-from corrseg.correction import _rss_cost
+from corrseg.correction import _rss_cost, segment_covariate
 from corrseg.errors import DegenerateNormalizationWarning, DPBandFailed, KTooLarge
 from corrseg.pipeline import segment_all, split_by_chromosome
 from corrseg.segment import (
@@ -400,6 +403,85 @@ def test_a_band_fault_reaches_the_caller_and_leaves_no_child(k0, monkeypatch):
     assert multiprocessing.active_children() == []
     assert open_fds() == fds
 
+def test_one_share_runs_in_the_calling_process(usable_cpus, monkeypatch):
+    # on one usable CPU neither DP forks, however large its work, and a cost
+    # that raises in the only band reaches the caller as itself
+    usable_cpus(1)
+    monkeypatch.setattr(segment, "WORKER_CELLS", 1)
+
+    def no_fork():
+        raise AssertionError("a one-share DP forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    rng = np.random.default_rng(6)
+    m = std_for(blocked_matrix(30, 90, [(20, 50)], 0.05, 0.8, rng))
+    assert select_k(m, k_max=20).chosen_K >= 1
+    tracks = {f"P{i}": (np.arange(50.0), rng.standard_normal(50)) for i in range(4)}
+    assert len(segment_covariate(tracks, k_max=5)) == 4
+    clean = _expression_cost(m)
+
+    def faulty(starts, stops):
+        if stops.min() > TILE:
+            raise CostFault("cost fault in the only band")
+        return clean(starts, stops)
+
+    with pytest.raises(CostFault, match="only band"):
+        _dp_kernel(faulty, 90, 20, 1)
+
+def _running(pid: int) -> bool:
+    """Whether a process exists and is not a zombie, as Linux lists it."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+@fork_only
+def test_no_band_outlives_its_parent(tmp_path):
+    # `corrseg segment` on the toy fixture in two bands, each of which records
+    # its pid and then sleeps; killing the command must end both bands
+    pids, log = tmp_path / "pids", tmp_path / "stderr"
+    fixtures = Path(__file__).parent / "fixtures"
+    code = f"""if True:
+        import os, sys, time
+        from corrseg import cli, segment
+        segment.usable_cpus, segment.WORKER_CELLS, band = lambda: 2, 1, segment._band
+
+        def slowed(*args):
+            with open({str(pids)!r}, "a") as f:
+                f.write(f"{{os.getpid()}}\\n")
+            time.sleep(60)
+            band(*args)
+
+        segment._band = slowed
+        sys.exit(cli.main(["segment", "--input", {str(fixtures / "toy_expression.tsv")!r},
+                           "--annotation", {str(fixtures / "toy_annotation.tsv")!r},
+                           "--out", {str(tmp_path / "out")!r}]))
+    """
+    src = os.path.dirname(os.path.dirname(segment.__file__))
+    with open(log, "w") as err:
+        proc = subprocess.Popen([sys.executable, "-c", code], stderr=err,
+                                env={**os.environ, "PYTHONPATH": src})
+    bands = []
+    try:
+        started = time.monotonic()
+        while len(bands) < 2:
+            assert proc.poll() is None, log.read_text()
+            assert time.monotonic() - started < 60, "the bands did not start"
+            time.sleep(0.05)
+            bands = [int(pid) for pid in pids.read_text().split()] if pids.exists() else []
+        proc.kill()
+        proc.wait()
+        killed = time.monotonic()
+        while any(map(_running, bands)) and time.monotonic() - killed < 5:
+            time.sleep(0.05)
+        assert not any(map(_running, bands))
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in filter(_running, bands):
+            os.kill(pid, signal.SIGKILL)
+
 @fork_only
 def test_a_daemonic_caller_runs_its_pass_inline(usable_cpus, monkeypatch):
     # a daemonic process may not have children; any other process would
@@ -414,9 +496,9 @@ def test_a_daemonic_caller_runs_its_pass_inline(usable_cpus, monkeypatch):
 
 @fork_only
 def test_banded_select_k_memory_stays_near_prefix_and_shares_its_tables(usable_cpus, monkeypatch):
-    # on two usable CPUs a p = 1000 pass runs in two bands; its tables are
-    # one shared mapping of pass_size's table_bytes, which tracemalloc does
-    # not see, so the caller holds the Gram prefix and its tile buffers
+    # on two usable CPUs a p = 1000 pass runs in two bands; E and B are each
+    # in a shared mapping, together pass_size's table_bytes, which tracemalloc
+    # does not see, so the caller holds the Gram prefix and its tile buffers
     usable_cpus(2)
     p = 1000
     k_max = default_k_max(p)
@@ -438,9 +520,9 @@ def test_banded_select_k_memory_stays_near_prefix_and_shares_its_tables(usable_c
     _, tables, tile = pass_size(p, k_max)
     assert bands == {"bands": 2}
     assert peak <= 8 * (p + 1) ** 2 + 8 * tile
-    shared = D.base.base.obj
-    assert isinstance(shared, mmap.mmap) and B.base.base.obj is shared
-    assert len(shared) == D.base.nbytes + B.nbytes == tables
+    E_map, B_map = D.base.base, B.base
+    assert isinstance(E_map, mmap.mmap) and isinstance(B_map, mmap.mmap)
+    assert len(E_map) + len(B_map) == D.base.nbytes + B.nbytes == tables
 
 @pytest.mark.parametrize("min_seg_len", [1, 2])
 def test_selection_segments_from_the_same_pass(rng, monkeypatch, min_seg_len):

@@ -39,10 +39,11 @@ def _delimiter(path: Path) -> str:
 
 def _read_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
     """Each non-blank row, as it is read, with the line in the file where it
-    ends. An unreadable, empty or non-UTF-8 file raises IngestionError."""
+    ends. A leading byte-order mark is skipped. An unreadable, empty or
+    non-UTF-8 file raises IngestionError."""
     line = 0
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh, delimiter=_delimiter(path))
             for row in reader:
                 if row:
@@ -83,19 +84,88 @@ def _parse_floats(fields: list[str], where: Callable[[int], str]) -> np.ndarray:
         pass
     return np.array([_parse_float(field, where(k)) for k, field in enumerate(fields)])
 
+def _loadtxt(
+    path: Path, layout: Callable[[list[str], str], tuple[Callable[[str], str], list[int] | None]]
+) -> tuple[list[str], np.ndarray, int] | None:
+    """The fast path of the readers: numpy's C parser reads the float cells.
 
-def read_expression(path: str | Path, transpose: bool = False) -> ExpressionMatrix:
-    """Read a delimited expression matrix.
-
-    Layout: header row of gene identifiers, one row per patient. When the
-    header is one field shorter than the data rows, the first column
-    holds patient identifiers. transpose=True reads the flipped layout
-    (genes as rows, patients as columns) and reorients it.
+    csv reads the header, the first non-blank row. layout(header, first
+    data line) returns (cut, usecols): cut(line) keeps a line's string
+    cells and returns the text whose columns `usecols` loadtxt reads
+    (all when None, and then every row must be as wide as the first).
+    Returns the header, the values and the header's file line, or None,
+    giving up, where csv could read a line otherwise (a quote, a CR, a NUL,
+    a field over csv's limit), where loadtxt would skip a text, and on any
+    error (layout and cut raise one to give up) or non-finite value. The
+    caller then reruns the csv reader, which alone names a fault, and
+    which reads every cell `float()` does.
     """
-    path = Path(path)
+    delim, limit = _delimiter(path), csv.field_size_limit()
+    half = limit // 2
+
+    def texts(lines: Iterable[str], cut: Callable[[str], str]) -> Iterator[str]:
+        for line in lines:
+            # a field over `limit` characters covers a whole aligned block of
+            # `half`, so a line whose every such block holds a delimiter has none
+            if '"' in line or "\r" in line or "\0" in line or (
+                len(line) > limit
+                and any(line.find(delim, k, k + half) < 0 for k in range(0, len(line), half))
+            ):
+                raise ValueError("a line for csv")
+            text = cut(line)
+            if text in ("", "\n"):
+                raise ValueError("a line loadtxt skips")
+            yield text
+
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh, delimiter=delim)
+            header, first = next(filter(None, reader), None), next(fh, None)
+            if header is None or first is None:
+                return None
+            cut, usecols = layout(header, first)
+            lines = texts(chain([first], fh), cut)
+            values = np.loadtxt(lines, delimiter=delim, comments=None, ndmin=2, usecols=usecols)
+    except (OSError, ValueError, LookupError, csv.Error, CorrsegError):
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return header, values, reader.line_num
+
+
+def _labeled(header: list[str], width: int) -> bool:
+    """Whether data rows `width` fields wide lead with an identifier: the
+    header lists only the data columns, or names the identifier column."""
+    return width == len(header) + 1 or header[0].strip().lower() in {
+        "", "patient", "patient_id", "sample", "id", "gene", "gene_id",
+    }
+
+def _expression_loadtxt(path: Path) -> tuple[list[str], list[str], np.ndarray] | None:
+    """The header, row ids ([] without an id column) and values of a matrix
+    through `_loadtxt`, or None where it gives up."""
+    delim = _delimiter(path)
+    row_ids: list[str] = []
+
+    def cut(line: str) -> str:
+        row_id, _, values = line.partition(delim)
+        row_ids.append(row_id.strip())
+        return values
+
+    def layout(header: list[str], first: str):
+        width = first.count(delim) + 1
+        if width not in (len(header), len(header) + 1):
+            raise ValueError("rows as wide as no header layout")
+        return (cut if _labeled(header, width) else lambda line: line), None
+
+    fast = _loadtxt(path, layout)
+    return fast and (fast[0], row_ids, fast[1])
+
+def _expression_rows(path: Path) -> tuple[list[str], list[str], np.ndarray]:
+    """`_expression_loadtxt` through csv and `_parse_floats`, naming the first
+    fault: ragged rows, then the header width, then the first bad cell in
+    file order."""
     rows = _read_rows(path)
     _, header = next(rows)
-    label_words = {"", "patient", "patient_id", "sample", "id", "gene", "gene_id"}
     labeled: bool | None = None
     widths: set[int] = set()
     row_ids: list[str] = []
@@ -103,9 +173,7 @@ def read_expression(path: str | Path, transpose: bool = False) -> ExpressionMatr
     fault: CorrsegError | None = None
     for line, row in rows:
         if labeled is None:
-            # rows carry a leading identifier when the header lists only the
-            # data columns or names the identifier column
-            labeled = len(row) == len(header) + 1 or header[0].strip().lower() in label_words
+            labeled = _labeled(header, len(row))
         widths.add(len(row))
         if fault or len(widths) > 1:
             continue  # only widths now: a ragged row further down is named first
@@ -116,7 +184,8 @@ def read_expression(path: str | Path, transpose: bool = False) -> ExpressionMatr
         except CorrsegError as exc:
             fault = exc
             continue
-        row_ids.append(row[0].strip() if labeled else f"R{len(data):03d}")
+        if labeled:
+            row_ids.append(row[0].strip())
     if not widths:
         raise IngestionError(f"{path}: no data rows below the header")
     if len(widths) > 1:
@@ -126,10 +195,26 @@ def read_expression(path: str | Path, transpose: bool = False) -> ExpressionMatr
         raise IngestionError(f"{path}: header has {len(header)} fields but rows have {width}")
     if fault:
         raise fault
-    if labeled and width == len(header):
-        header = header[1:]
-    values = np.vstack(data)
+    return header, row_ids, np.vstack(data)
+
+def read_expression(path: str | Path, transpose: bool = False) -> ExpressionMatrix:
+    """Read a delimited expression matrix.
+
+    Layout: header row of gene identifiers, one row per patient. When the
+    header is one field shorter than the data rows, the first column
+    holds patient identifiers. transpose=True reads the flipped layout
+    (genes as rows, patients as columns) and reorients it.
+
+    numpy's C parser reads the values first (`_loadtxt`). Where it gives
+    up, csv reads the file again and `float()` parses each cell, so every
+    cell form `float()` accepts still reads and the first fault is named.
+    """
+    path = Path(path)
+    header, row_ids, values = _expression_loadtxt(path) or _expression_rows(path)
+    if row_ids and values.shape[1] == len(header) - 1:
+        header = header[1:]  # the header names the id column
     col_ids = [h.strip() for h in header]
+    row_ids = row_ids or [f"R{i:03d}" for i in range(1, len(values) + 1)]
     if transpose:
         values = values.T
         col_ids, row_ids = row_ids, col_ids
@@ -162,6 +247,18 @@ class _Column:
     def name(self) -> str:
         return self.aliases[0]
 
+class _Parsed(dict):
+    """A column's parsed value by cell text, so a repeated cell is parsed
+    and stored once."""
+
+    def __init__(self, parse: Callable[[str], object]):
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, cell: str):
+        value = self[cell] = self.parse(cell)
+        return value
+
 def _float_or_nan(cell: str) -> float:
     """NaN for a missing-value marker, else a finite float as `_parse_float` reads it."""
     return math.nan if cell.strip().lower() in _MISSING else _parse_float(cell, "")
@@ -189,57 +286,89 @@ def _read_table(
 
     Returns column name -> values in declaration order (float64 arrays for
     `float` columns, lists otherwise) and the file line of each data row.
-    The first short row or bad cell, in file order, raises error; a bad
-    `float` cell raises as `_parse_float` does.
+
+    Where there are `float` columns and a header, numpy's C parser reads
+    them first (`_loadtxt`). Where it gives up, csv reads the file again:
+    the first short row or bad cell, in file order, raises error, and a
+    bad `float` cell raises as `_parse_float` does.
     """
-    rows = _read_rows(path)
-    first = next(rows)
-    header = [field.strip().lower() for field in first[1]]
-    found: dict[str, int] = {}
-    if not optional_header or header[0] in {a.lower() for c in columns for a in c.aliases}:
-        for c in columns:
-            hits = [header.index(a.lower()) for a in c.aliases if a.lower() in header]
-            if hits:
-                found[c.name] = min(hits)
+    aliases = {a.lower() for c in columns for a in c.aliases}
+
+    def locate(first: list[str]) -> tuple[bool, list[tuple[_Column, int, array | list, _Parsed]]]:
+        """Whether the first row is a header and, per used column, where it
+        sits, its values so far and its parsed values."""
+        header = [field.strip().lower() for field in first]
+        found: dict[str, int] = {}
+        is_header = not optional_header or header[0] in aliases
+        if is_header:
+            for c in columns:
+                hits = [header.index(a.lower()) for a in c.aliases if a.lower() in header]
+                if hits:
+                    found[c.name] = min(hits)
+        missing = [c for c in columns if c.default is None and c.name not in found]
+        if missing:
+            layout = max((f for f in fallbacks if len(f) <= len(header)), key=len, default=None)
+            if layout is None:
+                raise error(f"{path}: needs a {'/'.join(missing[0].aliases)} column")
+            found = {name: j for j, name in enumerate(layout)}
+        return is_header, [
+            (c, found[c.name], array("d") if c.parse is float else [], _Parsed(c.parse))
+            for c in columns if c.name in found
+        ]
+
+    used: list[tuple[_Column, int, array | list, _Parsed]] = []
+    delim = _delimiter(path)
+
+    def layout(header: list[str], first: str):
+        nonlocal used
+        is_header, used = locate(header)
+        if not is_header:
+            raise ValueError("a header-less table")
+        kept = [u for u in used if u[0].parse is not float]
+
+        def cut(line: str) -> str:
+            cells = line.rstrip("\n").split(delim)
+            for _, j, values, parsed in kept:
+                values.append(parsed[cells[j]])
+            return line
+
+        return cut, [j for c, j, _, _ in used if c.parse is float]
+
+    fast = any(c.parse is float for c in columns) and _loadtxt(path, layout)
+    if fast:
+        _, values, at = fast
+        by_column = iter(values.T)
+        out = {c.name: next(by_column).copy() if c.parse is float else v for c, _, v, _ in used}
+        lines = array("l", range(at + 1, at + 1 + len(values)))
     else:
-        rows = chain([first], rows)
-    missing = [c for c in columns if c.default is None and c.name not in found]
-    if missing:
-        layout = max((f for f in fallbacks if len(f) <= len(header)), key=len, default=None)
-        if layout is None:
-            raise error(f"{path}: needs a {'/'.join(missing[0].aliases)} column")
-        found = {name: j for j, name in enumerate(layout)}
-    # per used column: where it sits, its values so far, and its parsed
-    # value by cell text, so a repeated cell is parsed and stored once
-    used = [
-        (c, found[c.name], array("d") if c.parse is float else [], {})
-        for c in columns if c.name in found
-    ]
-    need = max(j for _, j, _, _ in used)
-    lines = array("l")  # machine ints: int objects would cost 36 bytes a row
-    for line, row in rows:
-        if len(row) <= need:
-            raise error(f"{path}: row {line}: too few fields")
-        for c, j, values, parsed in used:
-            cell = row[j]
-            if c.parse is float:
-                try:
-                    value = float(cell)
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    value = _parse_float(cell, f"{path}: row {line}")
-            else:
-                value = parsed.get(cell)
-                if value is None:  # no parse returns None
+        rows = _read_rows(path)
+        first = next(rows)
+        is_header, used = locate(first[1])
+        if not is_header:
+            rows = chain([first], rows)
+        need = max(j for _, j, _, _ in used)
+        lines = array("l")  # machine ints: int objects would cost 36 bytes a row
+        for line, row in rows:
+            if len(row) <= need:
+                raise error(f"{path}: row {line}: too few fields")
+            for c, j, values, parsed in used:
+                cell = row[j]
+                if c.parse is float:
                     try:
-                        value = parsed[cell] = c.parse(cell)
+                        value = float(cell)
+                    except ValueError:
+                        value = math.nan
+                    if not math.isfinite(value):
+                        value = _parse_float(cell, f"{path}: row {line}")
+                else:
+                    try:
+                        value = parsed[cell]
                     except (LookupError, ValueError, CorrsegError):
                         raise error(f"{path}: row {line}: bad {c.name} {cell.strip()!r}") from None
-            values.append(value)
-        lines.append(line)
-    # np.frombuffer: a float column's array becomes its result, uncopied
-    out = {c.name: np.frombuffer(values) if c.parse is float else values for c, _, values, _ in used}
+                values.append(value)
+            lines.append(line)
+        # np.frombuffer: a float column's array becomes its result, uncopied
+        out = {c.name: np.frombuffer(v) if c.parse is float else v for c, _, v, _ in used}
     return {c.name: out[c.name] if c.name in out else [c.default] * len(lines) for c in columns}, lines
 
 

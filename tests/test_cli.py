@@ -182,6 +182,24 @@ class TestSegmentCommand:
         assert (f"{bad}: row 3: field larger than field limit (131072)\n"
                 in capsys.readouterr().err)
 
+    def test_header_only_matrix_prints_one_line(self, tmp_path):
+        # in a subprocess, where a warning would print to stderr
+        bare = tmp_path / "bare.tsv"
+        bare.write_text("patient\tg1\tg2\n")
+        code = f"""if True:
+            import sys
+            from corrseg import cli
+            sys.exit(cli.main(["segment", "--input", {str(bare)!r},
+                               "--out", {str(tmp_path / "out")!r}]))
+        """
+        src = os.path.dirname(os.path.dirname(io.__file__))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 2
+        assert run.stderr.splitlines() == [
+            f"corrseg: ingestion error: {bare}: no data rows below the header"
+        ]
+
     def test_non_utf8_input_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "latin1.tsv"
         bad.write_bytes(b"patient\tg1\tg2\nP1\t1.0\t2.0\nP\xe9\t2.0\t3.0\nP3\t0.0\t1.0\n")
@@ -949,6 +967,25 @@ def test_an_interrupt_exits_130_in_one_line(tmp_path):
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
                          env={**os.environ, "PYTHONPATH": src})
     assert (run.returncode, run.stderr.splitlines()) == (130, ["corrseg: interrupted"])
+
+def test_byte_order_marks_change_no_output(tmp_path):
+    # Excel's "CSV UTF-8" export starts a file with U+FEFF
+    plain, marked = tmp_path / "plain", tmp_path / "bom"
+    assert main(["simulate", "--p", "150", "--seed", "2", "--out", str(plain)]) == 0
+    marked.mkdir()
+    for name in ("expression.tsv", "annotation.tsv", "truth.tsv"):
+        (marked / name).write_bytes("\ufeff".encode() + (plain / name).read_bytes())
+    for work in (plain, marked):
+        inputs = ["--input", str(work / "expression.tsv"),
+                  "--annotation", str(work / "annotation.tsv")]
+        assert main(["segment", *inputs, "--trace", "--out", str(work / "segment")]) == 0
+        assert main(["test", *inputs, "--segmentation", str(work / "segment" / "segmentation.tsv"),
+                     "--out", str(work / "test")]) == 0
+        assert main(["evaluate", "--truth", str(work / "truth.tsv"), "--regions",
+                     str(work / "test" / "regions.tsv"), "--out", str(work / "evaluate")]) == 0
+    outputs = ("segment/segmentation.tsv", "segment/trace.json", "test/regions.tsv", "evaluate/auc.tsv")
+    for name in outputs:
+        assert (marked / name).read_bytes() == (plain / name).read_bytes(), name
 
 def test_version_flag_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from corrseg.errors import (
 )
 from corrseg.significance import RegionReport
 from conftest import as_matrix
+from test_reader_oracle import _outcome
 
 
 def write(path, text):
@@ -178,6 +180,13 @@ def test_read_expression_memory_stays_near_the_matrix(tmp_path, rng):
     io.write_matrix(tmp_path / "e.tsv", as_matrix(rng.standard_normal((58, 2500))))
     matrix, peak = _traced_peak(io.read_expression, tmp_path / "e.tsv")
     assert peak < 4 * matrix.values.nbytes
+
+def test_read_expression_peak_stays_under_twice_the_matrix(tmp_path, rng):
+    # numpy's parser holds no cell as a Python string: the peak is the
+    # matrix, loadtxt's growing copy of it, the ids and one line
+    io.write_matrix(tmp_path / "e.tsv", as_matrix(rng.standard_normal((58, 2500))))
+    matrix, peak = _traced_peak(io.read_expression, tmp_path / "e.tsv")
+    assert peak < 2 * matrix.values.nbytes
 
 def test_read_covariate_long_memory_stays_near_its_arrays(tmp_path, rng):
     # the correct-cnv benchmark's 58 patients x 2 chromosomes x 450 probes
@@ -591,3 +600,142 @@ def test_readers_name_the_file_and_ignore_row_order(tmp_path, table, data):
         body = data.draw(st.permutations(lines[head:]))
         write(path, "".join(line + "\n" for line in [*lines[:head], *body]))
         assert _read(table, path) == first
+
+
+# ------------------------------------------------------ the loadtxt fast path
+
+def _csv_path_only(read, *args):
+    """`read` with the fast path off, so today's csv reader alone runs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_loadtxt", lambda *_: None)
+        return _outcome(read, *args)
+
+def _fast_path_results(monkeypatch) -> list:
+    """What each `_loadtxt` call returns from now on: None where it gave up."""
+    results, loadtxt = [], io._loadtxt
+    monkeypatch.setattr(io, "_loadtxt", lambda *args: results.append(loadtxt(*args)) or results[-1])
+    return results
+
+COVARIATE_HEADER = "patient\tchromosome\tposition\tvalue"
+
+def _encode(text: str, bom: bool = False, crlf: bool = False) -> bytes:
+    return (("\ufeff" if bom else "") + (text.replace("\n", "\r\n") if crlf else text)).encode()
+
+@pytest.mark.parametrize("reader", ["expression", "covariate", "annotation"])
+def test_plain_files_take_the_fast_path(tmp_path, monkeypatch, reader):
+    results = _fast_path_results(monkeypatch)
+    if reader == "expression":
+        io.read_expression(write(tmp_path / "f.tsv", MATRIX))
+    else:
+        READERS[reader](write(tmp_path / "f.tsv", TABLES[reader]))
+    assert len(results) == 1 and results[0] is not None
+
+@pytest.mark.parametrize("cell", ["1_000", "\uff11\uff12", "\u0663", " 1_0 "])
+def test_float_forms_loadtxt_rejects_read_through_csv(tmp_path, monkeypatch, cell):
+    # README promises float()'s forms; numpy's parser refuses them, so the
+    # csv path must be what reads them
+    results = _fast_path_results(monkeypatch)
+    matrix = io.read_expression(
+        write(tmp_path / "e.tsv", f"patient\tg1\nA\t1\nB\t{cell}\nC\t3\n")
+    )
+    cov = io.read_covariate_long(
+        write(tmp_path / "c.tsv", f"{COVARIATE_HEADER}\nA\tchr1\t{cell}\t0.5\n")
+    )
+    assert results == [None, None]
+    assert matrix.values[1, 0] == float(cell) == cov["chr1"]["A"][0][0]
+
+# Cell texts where numpy's parser and float() may part ways, and cells that
+# csv reads apart from a split on the delimiter
+ODD_CELLS = [
+    "1_000", "\uff11\uff12", " 1.5 ", "\u30002\xa0", "+1", "-0.0", "5e-324", "1e-400",
+    "nan", "inf", "-Infinity", "1e400", '"2.5"', '"3\t4"', '""',
+    "", "NA", "null", "none", "n/a", "0x10", "1d3", "1 2", "1\x0c", "2\x00",
+]
+CELL = st.one_of(FINITE.map(repr), st.integers(-10**6, 10**6).map(str))
+# ids csv unquotes, and a NUL, which csv refuses before Python 3.11
+ODD_IDS = ['"{}"', '"{}\t"', '"{}""', "{}\x00", " {} "]
+
+def _odd_or(data, strategy, odd=st.sampled_from(ODD_CELLS)):
+    return data.draw(odd if data.draw(st.integers(0, 7)) == 0 else strategy)
+
+@pytest.mark.parametrize("reader", ["expression", "covariate"])
+@settings(deadline=None, max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fast_path_reads_as_the_csv_path(tmp_path, reader, data):
+    """A file reads to the same bits as the csv path alone reads it, or
+    raises the same class with the same message, whatever its cells, ids,
+    line endings, byte-order mark, blank lines and trailing delimiters."""
+    ids = [_odd_or(data, st.just("{}"), st.sampled_from(ODD_IDS)).format(f"P{i}") for i in range(6)]
+    if reader == "expression":
+        w = data.draw(st.integers(1, 3))
+        header = "\t".join(["patient", *(f"g{j + 1}" for j in range(w))])
+        n = data.draw(st.integers(3, 6))
+        rows = [[ids[i], *(_odd_or(data, CELL) for _ in range(w))] for i in range(n)]
+        read = io.read_expression
+    else:
+        header = COVARIATE_HEADER
+        rows = [
+            [data.draw(st.sampled_from(ids[:3])), data.draw(st.sampled_from(["chr1", "chr2"])),
+             _odd_or(data, CELL), _odd_or(data, CELL)]
+            for _ in range(data.draw(st.integers(1, 6)))
+        ]
+        read = io.read_covariate_long
+    trailing = ["\t" if data.draw(st.integers(0, 9)) == 0 else "" for _ in rows]
+    lines = [header] + ["\t".join(row) + end for row, end in zip(rows, trailing)]
+    for _ in range(data.draw(st.integers(0, 3)) // 2):
+        lines.insert(data.draw(st.integers(1, len(lines))), "")
+    path = tmp_path / "f.tsv"
+    bom, crlf = data.draw(st.booleans()), data.draw(st.booleans())
+    path.write_bytes(_encode("\n".join(lines) + "\n", bom=bom, crlf=crlf))
+    assert _outcome(read, path) == _csv_path_only(read, path)
+
+@pytest.mark.parametrize("row", ["B\t0." + "0" * 140_000 + "1", "P" * 140_000 + "\t2"],
+                         ids=["value", "id"])
+def test_a_cell_over_the_csv_limit_is_refused(tmp_path, row):
+    # a finite value and an id, so only the line's length can send them to csv
+    path = write(tmp_path / "e.tsv", f"patient\tg1\nA\t1\n{row}\nC\t3\nD\t4\n")
+    message = f"{path}: row 3: field larger than field limit (131072)"
+    with pytest.raises(IngestionError, match=re.escape(message) + "$"):
+        io.read_expression(path)
+
+def test_lines_over_the_csv_limit_take_the_fast_path(tmp_path, monkeypatch, rng):
+    # 40,000 genes make a 300 kB line of short cells
+    io.write_matrix(tmp_path / "e.tsv", as_matrix(rng.integers(0, 9, (3, 40_000)) + 0.5))
+    results = _fast_path_results(monkeypatch)
+    io.read_expression(tmp_path / "e.tsv")
+    assert len(results) == 1 and results[0] is not None
+
+@pytest.mark.parametrize("table", [*TABLES, "expression"])
+def test_a_byte_order_mark_is_ignored(tmp_path, table):
+    # Excel's "CSV UTF-8" export starts a file with U+FEFF
+    write(tmp_path / "matrix.tsv", MATRIX)
+    read = io.read_expression if table == "expression" else READERS[table]
+    text = MATRIX if table == "expression" else TABLES[table]
+    results = []
+    for name, bom in (("plain.tsv", False), ("bom.tsv", True)):
+        (tmp_path / name).write_bytes(_encode(text, bom=bom))
+        results.append(_outcome(read, tmp_path / name))
+    assert results[0][0] == "ok"
+    assert results[1] == results[0]
+
+@pytest.mark.parametrize("text", ["g1\tg2\n", "g1\tg2\n\n\n"],
+                         ids=["header-only", "blank-lines"])
+def test_header_only_matrix_raises_without_a_warning(tmp_path, text):
+    path = write(tmp_path / "e.tsv", text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = f"{path}: no data rows below the header"
+        with pytest.raises(IngestionError, match=re.escape(message) + "$"):
+            io.read_expression(path)
+
+@pytest.mark.parametrize("reader, text", [
+    (io.read_expression, "g1\nA\t\nB\t\nC\t\n"),
+    (io.read_covariate_long, "patient\tposition\tvalue\n\n\n"),
+], ids=["expression", "covariate"])
+def test_rows_loadtxt_would_skip_raise_no_warning(tmp_path, reader, text):
+    # each row hands loadtxt an empty text, which it would skip with a
+    # warning once no row is left
+    path = write(tmp_path / "f.tsv", text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(reader, path) == _csv_path_only(reader, path)

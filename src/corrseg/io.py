@@ -8,6 +8,11 @@ cell (a float as its shortest round-trip repr, a bool as true/false),
 `write_matrix` joins rows of floats from the same reprs, and `write_json`
 alone decides a JSON value (NaN as null, strict JSON). Manifests record
 config, version, and seed but no clocks, so reruns are byte-identical.
+
+Readers parse a numeric cell as `float()` does. numpy's C parser reads
+only the expression matrix, falling back to csv (`read_expression`);
+every other table is read by csv in one row loop (`_read_table`), its
+float cells parsed in blocks by `_parse_floats`.
 """
 
 from __future__ import annotations
@@ -71,7 +76,8 @@ def _parse_float(field: str, where: str) -> float:
     return value
 
 def _parse_floats(fields: list[str], where: Callable[[int], str]) -> np.ndarray:
-    """Parse cells as _parse_float does, in one numpy conversion.
+    """Parse cells as _parse_float does, in one numpy conversion: the float
+    rule of both csv readers.
 
     numpy converts str with float(), so cells and bits match; a bad cell
     reruns the per-cell loop, which names the first one as where(k).
@@ -84,26 +90,22 @@ def _parse_floats(fields: list[str], where: Callable[[int], str]) -> np.ndarray:
         pass
     return np.array([_parse_float(field, where(k)) for k, field in enumerate(fields)])
 
-def _loadtxt(
-    path: Path, layout: Callable[[list[str], str], tuple[Callable[[str], str], list[int] | None]]
-) -> tuple[list[str], np.ndarray, int] | None:
-    """The fast path of the readers: numpy's C parser reads the float cells.
+def _loadtxt(path: Path) -> tuple[list[str], list[str], np.ndarray] | None:
+    """The fast path of `read_expression`: numpy's C parser reads the values.
 
-    csv reads the header, the first non-blank row. layout(header, first
-    data line) returns (cut, usecols): cut(line) keeps a line's string
-    cells and returns the text whose columns `usecols` loadtxt reads
-    (all when None, and then every row must be as wide as the first).
-    Returns the header, the values and the header's file line, or None,
-    giving up, where csv could read a line otherwise (a quote, a CR, a NUL,
-    a field over csv's limit), where loadtxt would skip a text, and on any
-    error (layout and cut raise one to give up) or non-finite value. The
-    caller then reruns the csv reader, which alone names a fault, and
-    which reads every cell `float()` does.
+    csv reads the header, the first non-blank row. Returns the header, the
+    row ids ([] without an id column) and the values, or None, giving up,
+    where csv could read a line otherwise (a quote, a CR, a NUL, a field
+    over csv's limit), where loadtxt would skip a text, where the first
+    row is as wide as no header layout, and on any error or non-finite
+    value. The caller then reruns the csv reader, which alone names a
+    fault, and which reads every cell `float()` does.
     """
     delim, limit = _delimiter(path), csv.field_size_limit()
     half = limit // 2
+    row_ids: list[str] = []
 
-    def texts(lines: Iterable[str], cut: Callable[[str], str]) -> Iterator[str]:
+    def texts(lines: Iterable[str], labeled: bool) -> Iterator[str]:
         for line in lines:
             # a field over `limit` characters covers a whole aligned block of
             # `half`, so a line whose every such block holds a delimiter has none
@@ -112,25 +114,29 @@ def _loadtxt(
                 and any(line.find(delim, k, k + half) < 0 for k in range(0, len(line), half))
             ):
                 raise ValueError("a line for csv")
-            text = cut(line)
-            if text in ("", "\n"):
+            if labeled:
+                row_id, _, line = line.partition(delim)
+                row_ids.append(row_id.strip())
+            if line in ("", "\n"):
                 raise ValueError("a line loadtxt skips")
-            yield text
+            yield line
 
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh, delimiter=delim)
-            header, first = next(filter(None, reader), None), next(fh, None)
+            header = next(filter(None, csv.reader(fh, delimiter=delim)), None)
+            first = next(fh, None)
             if header is None or first is None:
                 return None
-            cut, usecols = layout(header, first)
-            lines = texts(chain([first], fh), cut)
-            values = np.loadtxt(lines, delimiter=delim, comments=None, ndmin=2, usecols=usecols)
-    except (OSError, ValueError, LookupError, csv.Error, CorrsegError):
+            width = first.count(delim) + 1
+            if width not in (len(header), len(header) + 1):
+                return None
+            lines = texts(chain([first], fh), _labeled(header, width))
+            values = np.loadtxt(lines, delimiter=delim, comments=None, ndmin=2)
+    except (OSError, ValueError, csv.Error):
         return None
     if not np.isfinite(values).all():
         return None
-    return header, values, reader.line_num
+    return header, row_ids, values
 
 
 def _labeled(header: list[str], width: int) -> bool:
@@ -140,28 +146,8 @@ def _labeled(header: list[str], width: int) -> bool:
         "", "patient", "patient_id", "sample", "id", "gene", "gene_id",
     }
 
-def _expression_loadtxt(path: Path) -> tuple[list[str], list[str], np.ndarray] | None:
-    """The header, row ids ([] without an id column) and values of a matrix
-    through `_loadtxt`, or None where it gives up."""
-    delim = _delimiter(path)
-    row_ids: list[str] = []
-
-    def cut(line: str) -> str:
-        row_id, _, values = line.partition(delim)
-        row_ids.append(row_id.strip())
-        return values
-
-    def layout(header: list[str], first: str):
-        width = first.count(delim) + 1
-        if width not in (len(header), len(header) + 1):
-            raise ValueError("rows as wide as no header layout")
-        return (cut if _labeled(header, width) else lambda line: line), None
-
-    fast = _loadtxt(path, layout)
-    return fast and (fast[0], row_ids, fast[1])
-
 def _expression_rows(path: Path) -> tuple[list[str], list[str], np.ndarray]:
-    """`_expression_loadtxt` through csv and `_parse_floats`, naming the first
+    """`_loadtxt` through csv and `_parse_floats`, naming the first
     fault: ragged rows, then the header width, then the first bad cell in
     file order."""
     rows = _read_rows(path)
@@ -210,7 +196,7 @@ def read_expression(path: str | Path, transpose: bool = False) -> ExpressionMatr
     cell form `float()` accepts still reads and the first fault is named.
     """
     path = Path(path)
-    header, row_ids, values = _expression_loadtxt(path) or _expression_rows(path)
+    header, row_ids, values = _loadtxt(path) or _expression_rows(path)
     if row_ids and values.shape[1] == len(header) - 1:
         header = header[1:]  # the header names the id column
     col_ids = [h.strip() for h in header]
@@ -269,6 +255,9 @@ def _bool(cell: str) -> bool:
 def _h1(cell: str) -> bool:
     return {"h1": True, "h0": False}[cell.strip().lower()]
 
+# rows a table holds as text before parsing them as one block
+_BLOCK_ROWS = 512
+
 def _read_table(
     path: Path,
     columns: tuple[_Column, ...],
@@ -287,88 +276,70 @@ def _read_table(
     Returns column name -> values in declaration order (float64 arrays for
     `float` columns, lists otherwise) and the file line of each data row.
 
-    Where there are `float` columns and a header, numpy's C parser reads
-    them first (`_loadtxt`). Where it gives up, csv reads the file again:
-    the first short row or bad cell, in file order, raises error, and a
-    bad `float` cell raises as `_parse_float` does.
+    csv reads the rows, and each block of `_BLOCK_ROWS` is parsed a column
+    at a time: a string cell once per distinct text, `float` cells in one
+    `_parse_floats` call. The first short row or bad cell, in file order,
+    raises error, and a bad `float` cell raises as `_parse_float` does.
     """
-    aliases = {a.lower() for c in columns for a in c.aliases}
-
-    def locate(first: list[str]) -> tuple[bool, list[tuple[_Column, int, array | list, _Parsed]]]:
-        """Whether the first row is a header and, per used column, where it
-        sits, its values so far and its parsed values."""
-        header = [field.strip().lower() for field in first]
-        found: dict[str, int] = {}
-        is_header = not optional_header or header[0] in aliases
-        if is_header:
-            for c in columns:
-                hits = [header.index(a.lower()) for a in c.aliases if a.lower() in header]
-                if hits:
-                    found[c.name] = min(hits)
-        missing = [c for c in columns if c.default is None and c.name not in found]
-        if missing:
-            layout = max((f for f in fallbacks if len(f) <= len(header)), key=len, default=None)
-            if layout is None:
-                raise error(f"{path}: needs a {'/'.join(missing[0].aliases)} column")
-            found = {name: j for j, name in enumerate(layout)}
-        return is_header, [
-            (c, found[c.name], array("d") if c.parse is float else [], _Parsed(c.parse))
-            for c in columns if c.name in found
-        ]
-
-    used: list[tuple[_Column, int, array | list, _Parsed]] = []
-    delim = _delimiter(path)
-
-    def layout(header: list[str], first: str):
-        nonlocal used
-        is_header, used = locate(header)
-        if not is_header:
-            raise ValueError("a header-less table")
-        kept = [u for u in used if u[0].parse is not float]
-
-        def cut(line: str) -> str:
-            cells = line.rstrip("\n").split(delim)
-            for _, j, values, parsed in kept:
-                values.append(parsed[cells[j]])
-            return line
-
-        return cut, [j for c, j, _, _ in used if c.parse is float]
-
-    fast = any(c.parse is float for c in columns) and _loadtxt(path, layout)
-    if fast:
-        _, values, at = fast
-        by_column = iter(values.T)
-        out = {c.name: next(by_column).copy() if c.parse is float else v for c, _, v, _ in used}
-        lines = array("l", range(at + 1, at + 1 + len(values)))
+    rows = _read_rows(path)
+    first = next(rows)
+    header = [field.strip().lower() for field in first[1]]
+    found: dict[str, int] = {}
+    if not optional_header or header[0] in {a.lower() for c in columns for a in c.aliases}:
+        for c in columns:
+            hits = [header.index(a.lower()) for a in c.aliases if a.lower() in header]
+            if hits:
+                found[c.name] = min(hits)
     else:
-        rows = _read_rows(path)
-        first = next(rows)
-        is_header, used = locate(first[1])
-        if not is_header:
-            rows = chain([first], rows)
-        need = max(j for _, j, _, _ in used)
-        lines = array("l")  # machine ints: int objects would cost 36 bytes a row
-        for line, row in rows:
-            if len(row) <= need:
-                raise error(f"{path}: row {line}: too few fields")
+        rows = chain([first], rows)
+    missing = [c for c in columns if c.default is None and c.name not in found]
+    if missing:
+        layout = max((f for f in fallbacks if len(f) <= len(header)), key=len, default=None)
+        if layout is None:
+            raise error(f"{path}: needs a {'/'.join(missing[0].aliases)} column")
+        found = {name: j for j, name in enumerate(layout)}
+    used = [
+        (c, found[c.name], array("d") if c.parse is float else [], _Parsed(c.parse))
+        for c in columns if c.name in found
+    ]
+    need = max(j for _, j, _, _ in used)
+    lines = array("l")  # machine ints: int objects would cost 36 bytes a row
+    block: list[list[str]] = []
+
+    def parse_block() -> None:
+        try:
             for c, j, values, parsed in used:
-                cell = row[j]
-                if c.parse is float:
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        value = math.nan
-                    if not math.isfinite(value):
-                        value = _parse_float(cell, f"{path}: row {line}")
+                cells = [row[j] for row in block]
+                if c.parse is float:  # a bad cell is named below
+                    values.frombytes(_parse_floats(cells, lambda k: "").tobytes())
                 else:
-                    try:
-                        value = parsed[cell]
-                    except (LookupError, ValueError, CorrsegError):
-                        raise error(f"{path}: row {line}: bad {c.name} {cell.strip()!r}") from None
-                values.append(value)
-            lines.append(line)
-        # np.frombuffer: a float column's array becomes its result, uncopied
-        out = {c.name: np.frombuffer(v) if c.parse is float else v for c, _, v, _ in used}
+                    values.extend(map(parsed.__getitem__, cells))
+            block.clear()
+            return
+        except (LookupError, ValueError, CorrsegError):
+            pass
+        # the block's first fault, row by row in column order
+        for line, row in zip(lines[len(lines) - len(block):], block):
+            where = f"{path}: row {line}"
+            if len(row) <= need:
+                raise error(f"{where}: too few fields")
+            for c, j, _, _ in used:
+                if c.parse is float:
+                    _parse_float(row[j], where)
+                    continue
+                try:
+                    c.parse(row[j])
+                except (LookupError, ValueError, CorrsegError):
+                    raise error(f"{where}: bad {c.name} {row[j].strip()!r}") from None
+
+    for line, row in rows:
+        block.append(row)
+        lines.append(line)
+        if len(block) == _BLOCK_ROWS:
+            parse_block()
+    parse_block()
+    # np.frombuffer: a float column's array becomes its result, uncopied
+    out = {c.name: np.frombuffer(v) if c.parse is float else v for c, _, v, _ in used}
     return {c.name: out[c.name] if c.name in out else [c.default] * len(lines) for c in columns}, lines
 
 

@@ -77,6 +77,12 @@ class ScenarioSpec:
             raise ValueError(f"seed={self.seed} must be >= 0")
         if self.n < 3:
             raise ValueError(f"need n >= 3 patients, got {self.n}")
+        if not self.chromosomes:
+            raise ValueError("need at least one chromosome")
+        names = [c.name for c in self.chromosomes]
+        for k, name in enumerate(names):
+            if name in names[:k]:
+                raise ValueError(f"chromosome {name!r} is listed more than once")
         if np.isnan(self.rho1):
             raise ValueError(f"rho1={self.rho1} must be finite")
         rho0s = self.rho0_by_chromosome()
@@ -227,6 +233,8 @@ def _gene_scores(
         uncovered = np.flatnonzero(np.isnan(scores[name]))
         if uncovered.size:
             raise GridMismatch(f"gene {uncovered[0] + 1} on {name} is in no region")
+    if not names:  # a header-only truth: `evaluate` finds neither H0 nor H1 genes
+        return np.zeros(0, dtype=bool), np.zeros(0), np.zeros(0, dtype=bool)
     truth = np.concatenate([truth_by_chrom[name] for name in names])
     score = np.concatenate([scores[name] for name in names])
     first = np.concatenate([np.arange(len(scores[name])) == 0 for name in names])

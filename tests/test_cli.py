@@ -777,6 +777,17 @@ class TestSimulateCommand:
                           0.1, 0.8, 25, 5)
         assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("chromosomes, message", [
+        ([], "need at least one chromosome"),
+        ([{"name": "c", "p": 12}, {"name": "d", "p": 12}, {"name": "c", "p": 8}],
+         "chromosome 'c' is listed more than once"),
+    ], ids=["none", "repeated"])
+    def test_spec_chromosomes_named_exit_3(self, tmp_path, capsys, chromosomes, message):
+        spec = write_spec(tmp_path / "spec.json", chromosomes, 0.1, 0.8, 25, 5)
+        assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"corrseg: validation error: bad scenario spec {spec}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_rho0_flag_exit_3(self, tmp_path):
         assert main(["simulate", "--rho0", "1.5", "--out", str(tmp_path)]) == 3
 
@@ -855,6 +866,18 @@ class TestEvaluateCommand:
         assert capsys.readouterr().err == (
             f"corrseg: validation error: {truth}: row 14: gene 'chr1_g11' does not follow"
             " 'chr1_g109' on chr1; truth rows must list a chromosome's genes in order\n")
+
+    def test_header_only_truth_exit_3(self, tmp_path, capsys):
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("gene\tchromosome\tlabel\n")
+        regions = tmp_path / "regions.tsv"
+        regions.write_text("chromosome\tstart\tend\tp_value\n")
+        code = main(["evaluate", "--truth", str(truth), "--regions", str(regions),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "corrseg: validation error: gene-level ROC needs both H0 and H1 genes in the truth\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("column", ["rho_hat", "rho0", "T_obs", "lambda0", "p_adjusted"])
     def test_bad_float_cell_exit_3(self, tmp_path, capsys, column):

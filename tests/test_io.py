@@ -15,6 +15,7 @@ from corrseg.errors import (
 )
 from corrseg.significance import RegionReport
 from conftest import as_matrix
+import test_reader_oracle as oracle
 from test_reader_oracle import _outcome
 
 
@@ -621,13 +622,11 @@ COVARIATE_HEADER = "patient\tchromosome\tposition\tvalue"
 def _encode(text: str, bom: bool = False, crlf: bool = False) -> bytes:
     return (("\ufeff" if bom else "") + (text.replace("\n", "\r\n") if crlf else text)).encode()
 
-@pytest.mark.parametrize("reader", ["expression", "covariate", "annotation"])
-def test_plain_files_take_the_fast_path(tmp_path, monkeypatch, reader):
+# only the matrix has a fast path; the tables are read by csv alone
+@pytest.mark.parametrize("read", [io.read_expression], ids=["expression"])
+def test_plain_files_take_the_fast_path(tmp_path, monkeypatch, read):
     results = _fast_path_results(monkeypatch)
-    if reader == "expression":
-        io.read_expression(write(tmp_path / "f.tsv", MATRIX))
-    else:
-        READERS[reader](write(tmp_path / "f.tsv", TABLES[reader]))
+    read(write(tmp_path / "f.tsv", MATRIX))
     assert len(results) == 1 and results[0] is not None
 
 @pytest.mark.parametrize("cell", ["1_000", "\uff11\uff12", "\u0663", " 1_0 "])
@@ -641,7 +640,7 @@ def test_float_forms_loadtxt_rejects_read_through_csv(tmp_path, monkeypatch, cel
     cov = io.read_covariate_long(
         write(tmp_path / "c.tsv", f"{COVARIATE_HEADER}\nA\tchr1\t{cell}\t0.5\n")
     )
-    assert results == [None, None]
+    assert results == [None]
     assert matrix.values[1, 0] == float(cell) == cov["chr1"]["A"][0][0]
 
 # Cell texts where numpy's parser and float() may part ways, and cells that
@@ -658,28 +657,20 @@ ODD_IDS = ['"{}"', '"{}\t"', '"{}""', "{}\x00", " {} "]
 def _odd_or(data, strategy, odd=st.sampled_from(ODD_CELLS)):
     return data.draw(odd if data.draw(st.integers(0, 7)) == 0 else strategy)
 
-@pytest.mark.parametrize("reader", ["expression", "covariate"])
+# the covariate reader has no fast path; tests/test_reader_oracle.py
+# checks it against the whole-file reader
+@pytest.mark.parametrize("read", [io.read_expression], ids=["expression"])
 @settings(deadline=None, max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_fast_path_reads_as_the_csv_path(tmp_path, reader, data):
+def test_fast_path_reads_as_the_csv_path(tmp_path, read, data):
     """A file reads to the same bits as the csv path alone reads it, or
     raises the same class with the same message, whatever its cells, ids,
     line endings, byte-order mark, blank lines and trailing delimiters."""
     ids = [_odd_or(data, st.just("{}"), st.sampled_from(ODD_IDS)).format(f"P{i}") for i in range(6)]
-    if reader == "expression":
-        w = data.draw(st.integers(1, 3))
-        header = "\t".join(["patient", *(f"g{j + 1}" for j in range(w))])
-        n = data.draw(st.integers(3, 6))
-        rows = [[ids[i], *(_odd_or(data, CELL) for _ in range(w))] for i in range(n)]
-        read = io.read_expression
-    else:
-        header = COVARIATE_HEADER
-        rows = [
-            [data.draw(st.sampled_from(ids[:3])), data.draw(st.sampled_from(["chr1", "chr2"])),
-             _odd_or(data, CELL), _odd_or(data, CELL)]
-            for _ in range(data.draw(st.integers(1, 6)))
-        ]
-        read = io.read_covariate_long
+    w = data.draw(st.integers(1, 3))
+    header = "\t".join(["patient", *(f"g{j + 1}" for j in range(w))])
+    n = data.draw(st.integers(3, 6))
+    rows = [[ids[i], *(_odd_or(data, CELL) for _ in range(w))] for i in range(n)]
     trailing = ["\t" if data.draw(st.integers(0, 9)) == 0 else "" for _ in rows]
     lines = [header] + ["\t".join(row) + end for row, end in zip(rows, trailing)]
     for _ in range(data.draw(st.integers(0, 3)) // 2):
@@ -739,3 +730,42 @@ def test_rows_loadtxt_would_skip_raise_no_warning(tmp_path, reader, text):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _outcome(reader, path) == _csv_path_only(reader, path)
+
+
+# ------------------------------------------------- table rows read in blocks
+
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("table", ["annotation", "covariate"])
+@settings(**oracle.CHECKS)
+@given(data=st.data())
+def test_any_block_size_matches_the_oracle(tmp_path, table, rows, data):
+    # blocks of one or two rows put a bad float cell and a bad string cell,
+    # or a short row, on either side of a block's end
+    read, variants = oracle.TABLES[table]
+    path = oracle._table(data, tmp_path, table, variants)
+    expected = _outcome(read, path, oracle=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_BLOCK_ROWS", rows)
+        assert _outcome(read, path) == expected
+
+@pytest.mark.parametrize("rows", [1, 2, io._BLOCK_ROWS])
+@pytest.mark.parametrize("above, below, message", [
+    ("g2\tchr1\ty\t3", "g3\tchr1\t5\tx", "non-numeric value 'y'"),
+    ("g2\tchr1\ty\t3", "g3\tchr1", "non-numeric value 'y'"),
+    ("g2\tchr1\ty\t3", "g3\tchr1\tNA\t1", "non-numeric value 'y'"),
+    ("g2\tchr1\t1\tx", "g3\tchr1\ty\t3", "bad end 'x'"),
+], ids=["float-over-string", "float-over-short-row", "float-over-float", "string-over-float"])
+def test_the_first_fault_in_file_order_is_named(tmp_path, monkeypatch, rows, above, below, message):
+    monkeypatch.setattr(io, "_BLOCK_ROWS", rows)
+    text = f"gene\tchromosome\tstart\tend\ng1\tchr1\t1\t2\n{above}\n{below}\n"
+    path = write(tmp_path / "a.tsv", text)
+    with pytest.raises(IngestionError, match=re.escape(f"{path}: row 3: {message}") + "$"):
+        io.read_annotation(path)
+
+def test_a_faulty_covariate_is_read_once(tmp_path, monkeypatch):
+    paths, read_rows = [], io._read_rows
+    monkeypatch.setattr(io, "_read_rows", lambda path: paths.append(path) or read_rows(path))
+    path = write(tmp_path / "c.tsv", f"{COVARIATE_HEADER}\nA\tchr1\t1\t0.5\nA\tchr1\t2\tNA\n")
+    with pytest.raises(MissingValues, match=re.escape(f"{path}: row 3: missing value") + "$"):
+        io.read_covariate_long(path)
+    assert paths == [path]

@@ -373,6 +373,10 @@ def test_grid_mismatch_cases():
     with pytest.raises(GridMismatch):
         evaluate(truth, [report("chr1", 1, 6, 0.5)])  # genes 7..10 uncovered
 
+def test_an_empty_truth_is_named():
+    with pytest.raises(GridMismatch, match="^gene-level ROC needs both H0 and H1 genes"):
+        evaluate({}, [])
+
 def test_a_non_boolean_truth_is_named():
     # scored as it stands, ~ on a 0/1 integer truth is a bitwise not: the
     # gene-level FPR goes negative and the AUC above 1

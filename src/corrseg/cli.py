@@ -153,7 +153,7 @@ def cmd_test(config: RunConfig) -> int:
                 f"chromosome {view.name!r}: segmentation covers genes "
                 f"{bps[0] + 1}-{bps[-1]}, expected 1-{std.p}"
             )
-        seg = segmentation_from_breakpoints(build_gram_prefix(std), std.n, bps)
+        seg = segmentation_from_breakpoints(build_gram_prefix(std, bps), std.n, bps)
         results.append(ChromosomeResult(view.name, std, seg, trace=None))
     reports = test_all(results, rho0=config.rho0, adjust=config.adjust, alpha=config.alpha)
     out = _outdir(config)

@@ -3,7 +3,10 @@
 The segmentation cost of any gene block depends on the data only through
 the double sum of the empirical Gram matrix over that block. A 2-D prefix
 sum over G turns every such query into four lookups, which is what makes
-the O(K p^2) dynamic program practical: one (p+1)^2 float64 array, no p^2 temporaries.
+the O(K p^2) dynamic program practical: one (p+1)^2 float64 array, no p^2
+temporaries. Its axis-0 sums run a contiguous row at a time, and a caller
+that reads only a few rows (the block sums of one segmentation) gets those
+rows alone, with the same bits.
 """
 
 from __future__ import annotations
@@ -59,12 +62,15 @@ def standardize(matrix: ExpressionMatrix) -> ExpressionMatrix:
     """Center and scale every column to mean 0, variance 1 (divisor n).
 
     The n divisor (not n-1) makes the empirical Gram diagonal exactly 1,
-    which the closed-form segment likelihood assumes. Idempotent.
+    which the closed-form segment likelihood assumes. Idempotent. A column
+    is constant when every value equals its first: its computed mean need
+    not be that value (0.1 is not a binary fraction), so centering alone
+    can leave a tiny nonzero constant, which scaling would blow up to +-1.
     """
     v = matrix.values
     centered = v - v.mean(axis=0)
     sd = np.sqrt((centered * centered).mean(axis=0))
-    zero = np.flatnonzero(sd == 0.0)
+    zero = np.flatnonzero((v == v[0]).all(axis=0) | (sd == 0.0))
     if zero.size:
         raise ConstantColumn(matrix.gene_ids[zero[0]])
     return ExpressionMatrix(
@@ -75,24 +81,42 @@ def standardize(matrix: ExpressionMatrix) -> ExpressionMatrix:
     )
 
 
-def build_gram_prefix(matrix: ExpressionMatrix) -> np.ndarray:
+def build_gram_prefix(matrix: ExpressionMatrix, rows=None) -> np.ndarray:
     """Zero-padded 2-D prefix sums of G_jk = n^-1 sum_i Y_ij Y_ik.
 
     Returns the (p+1) x (p+1) array whose entry [a, b] is the sum of G
     over the leading a x b submatrix; `block_sums` reads any block sum
     out of it. The matrix must be standardized. One (p+1)^2 float64 array,
     no p^2 temporaries: G and both cumsums are written into its interior.
+    The axis-0 sums are np.cumsum's sequential ones, added a row at a time.
+    With rows, ascending indices into that array, only those rows are
+    returned, the same bits: the running sum of G's rows stays in one row,
+    is copied out at each wanted row, and only those get the axis-1 sums.
     """
     if not matrix.standardized:
         raise NotStandardized("standardize the matrix before building Gram prefix sums")
-    Y = matrix.values
-    prefix = np.zeros((matrix.p + 1, matrix.p + 1))
+    Y, n, p = matrix.values, matrix.n, matrix.p
+    prefix = np.zeros((p + 1, p + 1))
     G = prefix[1:, 1:]
     np.matmul(Y.T, Y, out=G)
-    G /= matrix.n
-    np.cumsum(G, axis=0, out=G)
-    np.cumsum(G, axis=1, out=G)
-    return prefix
+    if rows is None:
+        G /= n
+        for i in range(1, p):
+            np.add(G[i - 1], G[i], out=G[i])
+        out = prefix
+    else:
+        out = np.zeros((len(rows), p + 1))
+        run, top = G[0], 1  # run holds the sum over G's first `top` rows
+        run /= n
+        for row, r in zip(out, rows):
+            for i in range(top, r):
+                G[i] /= n
+                np.add(run, G[i], out=run)
+            top = max(top, r)
+            if r:
+                row[1:] = run
+    np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
+    return out
 
 
 def block_sums(prefix: np.ndarray, starts, stops, out: np.ndarray | None = None) -> np.ndarray:

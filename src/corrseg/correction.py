@@ -26,6 +26,7 @@ from .segment import (
     _dp_kernel,
     _forked,
     _table,
+    _tile,
     _tile_views,
     _workers,
     default_k_max,
@@ -64,7 +65,7 @@ BATCH_POINTS = 2048
 
 
 def _rss_cost(values: np.ndarray):
-    """cost(starts, stops) for the kernel: within-segment residual sum of squares.
+    """cost(b0, b1) for the kernel: within-segment residual sum of squares.
 
     values is one series (t,) or a batch of series (batch, t), whose tiles
     then lead with the batch axis. Every call writes into the same two tile
@@ -76,8 +77,9 @@ def _rss_cost(values: np.ndarray):
     np.cumsum(values * values, axis=-1, out=cs2[..., 1:])
     scratch = np.empty((2, TILE * values.size))
 
-    def cost(starts, stops):
-        seg_sum, seg_sq = _tile_views(scratch, (*values.shape[:-1], stops.size, starts.size))
+    def cost(b0, b1):
+        starts, stops = _tile(b0, b1)
+        seg_sum, seg_sq = _tile_views(scratch, (*values.shape[:-1], b1 - b0, b1))
         np.subtract(cs[..., stops], cs[..., starts], out=seg_sum)
         np.subtract(cs2[..., stops], cs2[..., starts], out=seg_sq)
         with np.errstate(invalid="ignore", divide="ignore"):

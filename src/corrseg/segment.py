@@ -83,6 +83,12 @@ def _closed_form_cost(S: np.ndarray, L: np.ndarray, n: int, work=None) -> np.nda
     return S
 
 
+def _tile(b0: int, b1: int) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, stops) of the kernel's tile of end points b0..b1-1: the
+    half-open segments [s, b + 1) for s < b1, broadcasting to (b1 - b0, b1)."""
+    return np.arange(b1)[None, :], np.arange(b0 + 1, b1 + 1)[:, None]
+
+
 def _tile_views(scratch: np.ndarray, shape: tuple[int, ...]) -> list[np.ndarray]:
     """One C-contiguous array of `shape` at the front of each row of scratch."""
     size = np.prod(shape)
@@ -130,8 +136,9 @@ def pass_size(m: int, k_max: int, batch: int = 1) -> tuple[int, int, int]:
     cells, batch*k_max*m^2, is the unit of the benchmark's correction.dp_cells
     (the kernel visits about half). The tables are E (float64, with its +inf
     column) and the int32 B. A pass allocates its tile buffers once: the
-    kernel's M, and four in the expression cost closure or two in `_rss_cost`'s;
-    a cost call adds one transient. An expression pass adds its Gram prefix.
+    kernel's M, and four in `_gram_cost`'s closure or two in `_rss_cost`'s;
+    a cost call adds one transient. An expression pass adds its (p+1)^2 Gram
+    prefix, whose views its tiles read.
     """
     return batch * k_max * m * m, batch * k_max * (8 * (m + 1) + 4 * m), batch * 8 * TILE * m
 
@@ -203,9 +210,9 @@ def _dp_kernel(cost, m: int, k_max: int, min_seg_len: int, batch: int | None = N
                bands: int = 1):
     """Optimal segmentations of m points into 1..k_max segments, one pass.
 
-    cost(starts, stops) returns the cost of the half-open segments
-    [start, stop), broadcasting its integer arguments; the kernel may
-    overwrite the array it returns. Segments shorter than min_seg_len
+    cost(b0, b1) returns the costs of the segments s..b, end points b0 <= b
+    < b1 and starts s < b1, in a (b1 - b0, b1) tile (`_tile`); the kernel
+    may overwrite the array it returns. Segments shorter than min_seg_len
     cost +inf. The end point b is walked in tiles of TILE columns, and
     each tile's segment costs come from one cost call.
     D[k-1, b] = min cost of splitting points 0..b into k segments;
@@ -260,7 +267,7 @@ def _band(cost, E, B, min_seg_len: int, k0: int, k1: int, up=None, down=None) ->
         b1 = min(b0 + TILE, m)
         w = b1 - b0
         # c[..., b - b0, s] = cost of segment s..b inclusive
-        c = cost(np.arange(b1)[None, :], np.arange(b0 + 1, b1 + 1)[:, None])
+        c = cost(b0, b1)
         s0 = b0 + 1 - msl
         lo = max(s0, 0)
         np.copyto(c[..., lo:], np.inf, where=short[:w, lo - s0 : w + msl - 1])
@@ -349,13 +356,18 @@ def segmentation_from_breakpoints(
 ) -> Segmentation:
     """Segmentation with per-segment rho and log-likelihood estimates.
 
-    prefix and n come from `build_gram_prefix` on the standardized matrix;
-    breakpoints run 0 = t_0 < ... < t_K = p.
+    breakpoints run 0 = t_0 < ... < t_K = p. prefix and n come from
+    `build_gram_prefix` on the standardized matrix: the whole prefix, or
+    only its rows t_0..t_K (`build_gram_prefix(std, breakpoints)`), which
+    are the whole prefix when every segment is a singleton. The block sums
+    read the four corners of each segment from those rows.
     """
     bps = tuple(int(t) for t in breakpoints)
     starts = np.array(bps[:-1])
     stops = np.array(bps[1:])
-    S = block_sums(prefix, starts, stops)
+    rows = prefix if len(prefix) == len(bps) else prefix[list(bps)]
+    k = np.arange(len(bps))
+    S = block_sums(rows[:, list(bps)], k[:-1], k[1:])
     lengths = stops - starts
     rho = tuple(
         0.0 if p_k == 1 else rho_hat(float(s), int(p_k)) for s, p_k in zip(S, lengths)
@@ -368,21 +380,36 @@ def segmentation_from_breakpoints(
         total_loglik=float(sum(seg_ll)),
     )
 
+def _gram_cost(prefix: np.ndarray, n: int):
+    """cost(b0, b1) for the kernel: closed-form costs of a tile, block sum S.
+
+    The tile's block sums are those of `block_sums(prefix, *_tile(b0, b1))`,
+    the same four terms in the same order, read through views of prefix.
+    Every call writes into the same four tile buffers.
+    """
+    diag = prefix.diagonal()
+    # the tile's block sums (then costs), lengths and two work arrays
+    scratch = np.empty((4, TILE * (len(diag) - 1)))
+
+    def cost(b0, b1):
+        S, L, *work = _tile_views(scratch, (b1 - b0, b1))
+        ends = slice(b0 + 1, b1 + 1)
+        np.subtract(diag[ends, None], prefix[:b1, ends].T, out=S)
+        S -= prefix[ends, :b1]
+        S += diag[None, :b1]
+        starts, stops = _tile(b0, b1)
+        np.subtract(stops, starts, out=L)
+        return _closed_form_cost(S, L, n, work)
+
+    return cost
+
+
 def _expression_dp(std: ExpressionMatrix, k_max: int, min_seg_len: int):
     """Gram prefix plus the kernel's D and B under the closed-form cost."""
     prefix = build_gram_prefix(std)
-    n = std.n
-    # the tile's block sums (then costs), lengths and two work arrays
-    scratch = np.empty((4, TILE * std.p))
-
-    def cost(starts, stops):
-        S, L, *work = _tile_views(scratch, (stops.size, starts.size))
-        np.subtract(stops, starts, out=L)
-        return _closed_form_cost(block_sums(prefix, starts, stops, out=S), L, n, work)
-
     # a band per row at most; the bands share one pass's tables
     bands = _workers(k_max, pass_size(std.p, k_max)[0], 0)
-    return (prefix, *_dp_kernel(cost, std.p, k_max, min_seg_len, bands=bands))
+    return (prefix, *_dp_kernel(_gram_cost(prefix, std.n), std.p, k_max, min_seg_len, bands=bands))
 
 
 def dp_segment(std: ExpressionMatrix, K: int, min_seg_len: int = 1) -> Segmentation:

@@ -239,6 +239,21 @@ class TestSegmentCommand:
             assert code == 3
             assert "'g2'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("level", [0.0, 0.1])
+    def test_constant_gene_named_exit_3(self, tmp_path, level, capsys):
+        # the mean of 58 copies of 0.1 is not 0.1, so centering leaves a
+        # tiny nonzero constant; the gene must still be refused by name
+        values = np.random.default_rng(8).normal(size=(58, 30))
+        values[:, 7] = level
+        path = tmp_path / "constant.tsv"
+        path.write_text("patient\t" + "\t".join(f"g{j + 1}" for j in range(30)) + "\n" + "".join(
+            f"P{i + 1}\t" + "\t".join(map(repr, row)) + "\n"
+            for i, row in enumerate(values.tolist())))
+        code = main(["segment", "--input", str(path), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "gene 'g8' has zero variance" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "segmentation.tsv").exists()
+
     def test_duplicate_annotation_row_exit_3(self, tmp_path, capsys):
         rows = read_tsv(TOY_ANN)
         first = next(i for i, r in enumerate(rows) if r["gene_id"] == "chr1_g3") + 2

@@ -34,6 +34,7 @@ from corrseg.segment import (
     TILE,
     _backtrack,
     _dp_kernel,
+    _tile,
     default_k_max,
     pass_size,
     penalty,
@@ -139,11 +140,9 @@ def test_in_place_rss_cost_equals_out_of_place_expression(rng):
         cost = _rss_cost(values)
         for b0 in range(0, t, TILE):
             b1 = min(b0 + TILE, t)
-            starts = np.arange(b1)[None, :]
-            stops = np.arange(b0 + 1, b1 + 1)[:, None]
-            rss, expected = reference_rss(values, starts, stops)
+            rss, expected = reference_rss(values, *_tile(b0, b1))
             negative |= bool((rss < 0).any())
-            assert np.array_equal(cost(starts, stops), expected)
+            assert np.array_equal(cost(b0, b1), expected)
     assert negative
 
 def fit_one_series(patient, positions, values, S, k_max, fixed_k):

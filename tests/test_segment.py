@@ -27,6 +27,7 @@ from corrseg.segment import (
     TILE,
     _closed_form_cost,
     _dp_kernel,
+    _tile,
     default_k_max,
     dp_segment,
     pass_size,
@@ -230,6 +231,58 @@ def test_segment_estimates_equal_cost_table(rng):
             assert r == (0.0 if b - a == 1 else rho_hat(float(S[a, b]), b - a))
         assert seg.total_loglik == float(sum(seg.segment_loglik))
 
+# `corrseg test` builds only the prefix rows at its breakpoints, and the DP
+# reads each cost tile through views of the prefix; both must keep the bits
+# of the gathered four-term block sums.
+
+BIT_PIN_WIDTHS = [1, 2, TILE - 1, TILE, 3 * TILE + 5]
+
+@st.composite
+def bit_pin_case(draw):
+    """(standardized matrix, breakpoints): one segment, all singletons or a
+    drawn cut, with a column repeated next to itself or not."""
+    p = draw(st.sampled_from(BIT_PIN_WIDTHS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    values = blocked_matrix(draw(st.integers(3, 12)), p, [(p // 4, p // 2 + 1)], 0.05, 0.8, rng)
+    if p > 1 and draw(st.booleans()):
+        j = draw(st.integers(0, p - 2))
+        values[:, j + 1] = values[:, j]
+    kind = draw(st.sampled_from(["one", "singletons", "drawn"]))
+    if kind == "one":
+        cuts = []
+    elif kind == "singletons":
+        cuts = list(range(1, p))
+    else:
+        cuts = sorted(draw(st.sets(st.integers(1, p - 1), max_size=p - 1))) if p > 1 else []
+    return std_for(values), [0, *cuts, p]
+
+@settings(max_examples=60, deadline=None)
+@given(case=bit_pin_case())
+def test_breakpoint_rows_keep_the_gathered_block_sums(case):
+    m, bps = case
+    P = build_gram_prefix(m)
+    rows = build_gram_prefix(m, bps)
+    assert np.array_equal(rows, P[bps])
+    starts, stops = np.array(bps[:-1]), np.array(bps[1:])
+    S = block_sums(P, starts, stops)
+    L = stops - starts
+    seg = segmentation_from_breakpoints(rows, m.n, bps)
+    assert seg.rho == tuple(0.0 if ell == 1 else rho_hat(float(s), int(ell)) for s, ell in zip(S, L))
+    assert seg.segment_loglik == tuple(-0.5 * float(c) for c in _closed_form_cost(S.copy(), L, m.n))
+    assert seg == segmentation_from_breakpoints(P, m.n, bps)
+
+@settings(max_examples=30, deadline=None)
+@given(case=bit_pin_case())
+def test_slice_read_cost_tiles_equal_gathered_tiles(case):
+    m = case[0]
+    P = build_gram_prefix(m)
+    cost = segment._gram_cost(P, m.n)
+    for b0 in range(0, m.p, TILE):
+        b1 = min(b0 + TILE, m.p)
+        starts, stops = _tile(b0, b1)
+        gathered = _closed_form_cost(block_sums(P, starts, stops), stops - starts, m.n)
+        assert np.array_equal(cost(b0, b1), gathered)
+
 def test_dp_k_too_large(rng):
     m = std_for(rng.standard_normal((10, 6)))
     with pytest.raises(KTooLarge):
@@ -293,7 +346,8 @@ def test_kernel_matches_reference_dp_across_tiles(min_seg_len):
         C = cost_grid(m)
         prefix = build_gram_prefix(m)
 
-        def cost(starts, stops):
+        def cost(b0, b1):
+            starts, stops = _tile(b0, b1)
             return _closed_form_cost(block_sums(prefix, starts, stops), stops - starts, m.n)
 
         D, B = _dp_kernel(cost, p, k_max, min_seg_len)
@@ -340,7 +394,8 @@ fork_only = pytest.mark.skipif(sys.platform != "linux", reason="bands fork only 
 def _expression_cost(m):
     prefix = build_gram_prefix(m)
 
-    def cost(starts, stops):
+    def cost(b0, b1):
+        starts, stops = _tile(b0, b1)
         return _closed_form_cost(block_sums(prefix, starts, stops), stops - starts, m.n)
 
     return cost
@@ -388,10 +443,10 @@ def test_a_band_fault_reaches_the_caller_and_leaves_no_child(k0, monkeypatch):
     p, band = 4 * TILE, segment._band
     clean = _expression_cost(std_for(np.random.default_rng(4).standard_normal((20, p))))
 
-    def faulty(starts, stops):
-        if stops.min() > 2 * TILE:
+    def faulty(b0, b1):
+        if b0 >= 2 * TILE:
             raise CostFault(f"cost fault in the band of rows {k0}-{k0 + 3}")
-        return clean(starts, stops)
+        return clean(b0, b1)
 
     def chosen(cost, E, B, min_seg_len, first, *rows_and_pipes, **pipe):
         band(faulty if first == k0 else cost, E, B, min_seg_len, first, *rows_and_pipes, **pipe)
@@ -420,10 +475,10 @@ def test_one_share_runs_in_the_calling_process(usable_cpus, monkeypatch):
     assert len(segment_covariate(tracks, k_max=5)) == 4
     clean = _expression_cost(m)
 
-    def faulty(starts, stops):
-        if stops.min() > TILE:
+    def faulty(b0, b1):
+        if b0 >= TILE:
             raise CostFault("cost fault in the only band")
-        return clean(starts, stops)
+        return clean(b0, b1)
 
     with pytest.raises(CostFault, match="only band"):
         _dp_kernel(faulty, 90, 20, 1)

@@ -29,8 +29,8 @@ from .pipeline import (
     split_by_chromosome,
     test_all,
 )
-from .core import build_gram_prefix, standardize
-from .segment import segmentation_from_breakpoints
+from .core import standardize
+from .segment import segmentation_of
 from .significance import power
 from .simulate import (
     DEFAULT_RHO0,
@@ -153,7 +153,7 @@ def cmd_test(config: RunConfig) -> int:
                 f"chromosome {view.name!r}: segmentation covers genes "
                 f"{bps[0] + 1}-{bps[-1]}, expected 1-{std.p}"
             )
-        seg = segmentation_from_breakpoints(build_gram_prefix(std, bps), std.n, bps)
+        seg = segmentation_of(std, bps)
         results.append(ChromosomeResult(view.name, std, seg, trace=None))
     reports = test_all(results, rho0=config.rho0, adjust=config.adjust, alpha=config.alpha)
     out = _outdir(config)

@@ -6,7 +6,7 @@ sum over G turns every such query into four lookups, which is what makes
 the O(K p^2) dynamic program practical: one (p+1)^2 float64 array, no p^2
 temporaries. Its axis-0 sums run a contiguous row at a time, and a caller
 that reads only a few rows (the block sums of one segmentation) gets those
-rows alone, with the same bits.
+rows alone, with the same bits, and skips the axis-1 sums of the rest.
 """
 
 from __future__ import annotations
@@ -89,9 +89,8 @@ def build_gram_prefix(matrix: ExpressionMatrix, rows=None) -> np.ndarray:
     out of it. The matrix must be standardized. One (p+1)^2 float64 array,
     no p^2 temporaries: G and both cumsums are written into its interior.
     The axis-0 sums are np.cumsum's sequential ones, added a row at a time.
-    With rows, ascending indices into that array, only those rows are
-    returned, the same bits: the running sum of G's rows stays in one row,
-    is copied out at each wanted row, and only those get the axis-1 sums.
+    With rows, indices into that array, only those rows are returned, the
+    same bits: only they get the axis-1 sums.
     """
     if not matrix.standardized:
         raise NotStandardized("standardize the matrix before building Gram prefix sums")
@@ -99,22 +98,10 @@ def build_gram_prefix(matrix: ExpressionMatrix, rows=None) -> np.ndarray:
     prefix = np.zeros((p + 1, p + 1))
     G = prefix[1:, 1:]
     np.matmul(Y.T, Y, out=G)
-    if rows is None:
-        G /= n
-        for i in range(1, p):
-            np.add(G[i - 1], G[i], out=G[i])
-        out = prefix
-    else:
-        out = np.zeros((len(rows), p + 1))
-        run, top = G[0], 1  # run holds the sum over G's first `top` rows
-        run /= n
-        for row, r in zip(out, rows):
-            for i in range(top, r):
-                G[i] /= n
-                np.add(run, G[i], out=run)
-            top = max(top, r)
-            if r:
-                row[1:] = run
+    G /= n
+    for i in range(1, p):
+        np.add(G[i - 1], G[i], out=G[i])
+    out = prefix if rows is None else prefix[list(rows)]
     np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
     return out
 

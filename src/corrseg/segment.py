@@ -356,19 +356,26 @@ def segmentation_from_breakpoints(
 ) -> Segmentation:
     """Segmentation with per-segment rho and log-likelihood estimates.
 
-    breakpoints run 0 = t_0 < ... < t_K = p. prefix and n come from
-    `build_gram_prefix` on the standardized matrix: the whole prefix, or
-    only its rows t_0..t_K (`build_gram_prefix(std, breakpoints)`), which
-    are the whole prefix when every segment is a singleton. The block sums
-    read the four corners of each segment from those rows.
+    prefix and n come from `build_gram_prefix` on the standardized matrix;
+    breakpoints run 0 = t_0 < ... < t_K = p.
     """
     bps = tuple(int(t) for t in breakpoints)
-    starts = np.array(bps[:-1])
-    stops = np.array(bps[1:])
-    rows = prefix if len(prefix) == len(bps) else prefix[list(bps)]
+    return _segmentation(block_sums(prefix, np.array(bps[:-1]), np.array(bps[1:])), n, bps)
+
+
+def segmentation_of(std: ExpressionMatrix, breakpoints: list[int]) -> Segmentation:
+    """`segmentation_from_breakpoints` on the standardized matrix's prefix,
+    the same bits, built from the prefix rows t_0..t_K alone: the four
+    corners of every segment lie on them."""
+    bps = tuple(int(t) for t in breakpoints)
+    corners = build_gram_prefix(std, bps)[:, list(bps)]
     k = np.arange(len(bps))
-    S = block_sums(rows[:, list(bps)], k[:-1], k[1:])
-    lengths = stops - starts
+    return _segmentation(block_sums(corners, k[:-1], k[1:]), std.n, bps)
+
+
+def _segmentation(S: np.ndarray, n: int, bps: tuple[int, ...]) -> Segmentation:
+    """The segmentation at bps whose segments have block sums S."""
+    lengths = np.diff(bps)
     rho = tuple(
         0.0 if p_k == 1 else rho_hat(float(s), int(p_k)) for s, p_k in zip(S, lengths)
     )

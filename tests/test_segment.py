@@ -34,6 +34,7 @@ from corrseg.segment import (
     penalty,
     rho_hat,
     segmentation_from_breakpoints,
+    segmentation_of,
     select_k,
     slope_change_choice,
 )
@@ -266,7 +267,7 @@ def test_breakpoint_rows_keep_the_gathered_block_sums(case):
     starts, stops = np.array(bps[:-1]), np.array(bps[1:])
     S = block_sums(P, starts, stops)
     L = stops - starts
-    seg = segmentation_from_breakpoints(rows, m.n, bps)
+    seg = segmentation_of(m, bps)
     assert seg.rho == tuple(0.0 if ell == 1 else rho_hat(float(s), int(ell)) for s, ell in zip(S, L))
     assert seg.segment_loglik == tuple(-0.5 * float(c) for c in _closed_form_cost(S.copy(), L, m.n))
     assert seg == segmentation_from_breakpoints(P, m.n, bps)

@@ -147,13 +147,13 @@ def cmd_test(config: RunConfig) -> int:
     for view in views:
         std = standardize(view.matrix)
         bounds = bounds_by_chrom[view.name]
-        bps = [bounds[0][0]] + [b for _, b in bounds]
+        bps = [bounds[0][0]] + [b for _, b, _ in bounds]
         if bps[0] != 0 or bps[-1] != std.p:
             raise ValidationError(
                 f"chromosome {view.name!r}: segmentation covers genes "
                 f"{bps[0] + 1}-{bps[-1]}, expected 1-{std.p}"
             )
-        seg = segmentation_of(std, bps)
+        seg = segmentation_of(std, bps, [rho for _, _, rho in bounds])
         results.append(ChromosomeResult(view.name, std, seg, trace=None))
     reports = test_all(results, rho0=config.rho0, adjust=config.adjust, alpha=config.alpha)
     out = _outdir(config)

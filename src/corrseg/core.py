@@ -81,7 +81,7 @@ def standardize(matrix: ExpressionMatrix) -> ExpressionMatrix:
     )
 
 
-def build_gram_prefix(matrix: ExpressionMatrix, rows=None) -> np.ndarray:
+def build_gram_prefix(matrix: ExpressionMatrix) -> np.ndarray:
     """Zero-padded 2-D prefix sums of G_jk = n^-1 sum_i Y_ij Y_ik.
 
     Returns the (p+1) x (p+1) array whose entry [a, b] is the sum of G
@@ -89,8 +89,6 @@ def build_gram_prefix(matrix: ExpressionMatrix, rows=None) -> np.ndarray:
     out of it. The matrix must be standardized. One (p+1)^2 float64 array,
     no p^2 temporaries: G and both cumsums are written into its interior.
     The axis-0 sums are np.cumsum's sequential ones, added a row at a time.
-    With rows, indices into that array, only those rows are returned, the
-    same bits: only they get the axis-1 sums.
     """
     if not matrix.standardized:
         raise NotStandardized("standardize the matrix before building Gram prefix sums")
@@ -101,9 +99,8 @@ def build_gram_prefix(matrix: ExpressionMatrix, rows=None) -> np.ndarray:
     G /= n
     for i in range(1, p):
         np.add(G[i - 1], G[i], out=G[i])
-    out = prefix if rows is None else prefix[list(rows)]
-    np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
-    return out
+    np.cumsum(G, axis=1, out=G)
+    return prefix
 
 
 def block_sums(prefix: np.ndarray, starts, stops, out: np.ndarray | None = None) -> np.ndarray:

@@ -80,8 +80,9 @@ def _rss_cost(values: np.ndarray):
     def cost(b0, b1):
         starts, stops = _tile(b0, b1)
         seg_sum, seg_sq = _tile_views(scratch, (*values.shape[:-1], b1 - b0, b1))
-        np.subtract(cs[..., stops], cs[..., starts], out=seg_sum)
-        np.subtract(cs2[..., stops], cs2[..., starts], out=seg_sq)
+        ends = slice(b0 + 1, b1 + 1)
+        np.subtract(cs[..., ends, None], cs[..., None, :b1], out=seg_sum)
+        np.subtract(cs2[..., ends, None], cs2[..., None, :b1], out=seg_sq)
         with np.errstate(invalid="ignore", divide="ignore"):
             # rss = seg_sq - seg_sum * seg_sum / max(length, 1)
             length = np.subtract(stops, starts, dtype=float)

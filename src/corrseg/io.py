@@ -245,9 +245,9 @@ class _Parsed(dict):
         value = self[cell] = self.parse(cell)
         return value
 
-def _float_or_nan(cell: str) -> float:
+def _float_or_nan(cell: str, where: str = "") -> float:
     """NaN for a missing-value marker, else a finite float as `_parse_float` reads it."""
-    return math.nan if cell.strip().lower() in _MISSING else _parse_float(cell, "")
+    return math.nan if cell.strip().lower() in _MISSING else _parse_float(cell, where)
 
 def _bool(cell: str) -> bool:
     return {"true": True, "false": False}[cell.strip().lower()]
@@ -456,9 +456,11 @@ def read_covariate_wide(
     return out
 
 
+_DIGIT_RUNS = re.compile(r"(\d+)")
+
 def natural_key(name: str) -> tuple:
     """Sort key treating digit runs numerically, so chr2 < chr10."""
-    return tuple(int(t) if t.isdigit() else t for t in re.split(r"(\d+)", name))
+    return tuple(int(t) if t.isdigit() else t for t in _DIGIT_RUNS.split(name))
 
 
 def _fmt(value) -> str:
@@ -482,25 +484,29 @@ def write_segmentation(path: str | Path, rows: list[dict]) -> None:
     """Write segmentation rows (one per segment, 1-based inclusive bounds)."""
     write_rows(path, SEGMENTATION_HEADER, ([r[k] for k in SEGMENTATION_HEADER] for r in rows))
 
-def read_segmentation(path: str | Path) -> dict[str, list[tuple[int, int]]]:
+def read_segmentation(path: str | Path) -> dict[str, list[tuple[int, int, float]]]:
     """Read a segmentation written by this package or an external tool.
 
-    Needs chromosome, start, end columns (1-based inclusive). Returns
-    chromosome -> list of half-open (start, stop) pairs in gene order.
+    Needs chromosome, start, end columns (1-based inclusive); rho_hat is
+    optional and reads NaN where absent or missing, and a bad one is an
+    ingestion fault. Returns chromosome -> list of half-open (start, stop,
+    rho_hat) triples in gene order.
     """
     path = Path(path)
-    cols, lines = _read_table(
-        path, (_Column(_CHROMOSOME), _Column(("start",), int), _Column(("end", "stop"), int))
-    )
-    out: dict[str, list[tuple[int, int]]] = {}
-    for chrom, start, end, line in zip(cols["chromosome"], cols["start"], cols["end"], lines):
+    cols, lines = _read_table(path, (
+        _Column(_CHROMOSOME), _Column(("start",), int), _Column(("end", "stop"), int),
+        _Column(("rho_hat",), default=""),
+    ))
+    out: dict[str, list[tuple[int, int, float]]] = {}
+    for chrom, start, end, rho, line in zip(*cols.values(), lines):
         if start < 1 or end < start:
             raise SchemaError(f"{path}: row {line}: bad bounds {start}-{end}")
-        out.setdefault(chrom, []).append((start - 1, end))
+        rho = _float_or_nan(rho, f"{path}: row {line}: rho_hat")
+        out.setdefault(chrom, []).append((start - 1, end, rho))
     for chrom, segs in out.items():
         segs.sort()
         cursor = segs[0][0]
-        for a, b in segs:
+        for a, b, _ in segs:
             if a != cursor:
                 raise SchemaError(f"{path}: {chrom} segments are not contiguous at {a + 1}")
             cursor = b
@@ -565,12 +571,13 @@ def read_truth(path: str | Path) -> dict[str, np.ndarray]:
     columns = (_Column(("gene", "gene_id", "id")), _Column(_CHROMOSOME), _Column(("label", "status"), _h1))
     cols, lines = _read_table(path, columns)
     acc: dict[str, list[bool]] = {}
-    last: dict[str, str] = {}
+    last: dict[str, tuple[str, tuple]] = {}  # chromosome -> its last gene and key
     for gene, chrom, flag, line in zip(cols["gene"], cols["chromosome"], cols["label"], lines):
-        if chrom in last and natural_key(gene) <= natural_key(last[chrom]):
-            raise SchemaError(f"{path}: row {line}: gene {gene!r} does not follow {last[chrom]!r}"
+        key = natural_key(gene)
+        if chrom in last and key <= last[chrom][1]:
+            raise SchemaError(f"{path}: row {line}: gene {gene!r} does not follow {last[chrom][0]!r}"
                               f" on {chrom}; truth rows must list a chromosome's genes in order")
-        last[chrom] = gene
+        last[chrom] = gene, key
         acc.setdefault(chrom, []).append(flag)
     return {chrom: np.array(flags, dtype=bool) for chrom, flags in acc.items()}
 

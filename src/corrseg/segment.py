@@ -16,7 +16,7 @@ import mmap
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +24,10 @@ from .core import ExpressionMatrix, block_sums, build_gram_prefix
 from .errors import DegenerateNormalizationWarning, DPBandFailed, KTooLarge
 
 RHO_EPS = 1e-8
+# a given rho counts as the block sums' own when its block sum lies within
+# RHO_MATCH * p^2 of the row-sum one: prefix entries reach p^2 and round at
+# that scale (the two sums differed by at most 4e-15 * p^2 up to p = 5000)
+RHO_MATCH = 1e-12
 LOG_EPS = 1e-12
 # end points per column tile of the DP kernel
 TILE = 32
@@ -363,14 +367,20 @@ def segmentation_from_breakpoints(
     return _segmentation(block_sums(prefix, np.array(bps[:-1]), np.array(bps[1:])), n, bps)
 
 
-def segmentation_of(std: ExpressionMatrix, breakpoints: list[int]) -> Segmentation:
-    """`segmentation_from_breakpoints` on the standardized matrix's prefix,
-    the same bits, built from the prefix rows t_0..t_K alone: the four
-    corners of every segment lie on them."""
+def segmentation_of(std: ExpressionMatrix, breakpoints: list[int], rho=None) -> Segmentation:
+    """The segmentation of std at breakpoints, with no Gram prefix: each
+    block sum is the squared per-patient row sums of its genes, summed over
+    patients, over n. A given rho (`segment`'s own, read back) is reported
+    where it matches the row-sum estimate to RHO_MATCH, so its bits survive;
+    elsewhere, NaN included, the more exact row-sum estimate is."""
     bps = tuple(int(t) for t in breakpoints)
-    corners = build_gram_prefix(std, bps)[:, list(bps)]
-    k = np.arange(len(bps))
-    return _segmentation(block_sums(corners, k[:-1], k[1:]), std.n, bps)
+    sums = np.add.reduceat(std.values, bps[:-1], axis=1)
+    seg = _segmentation((sums * sums).sum(axis=0) / std.n, std.n, bps)
+    if rho is None:
+        return seg
+    L = np.diff(bps)
+    tol = RHO_MATCH * std.p**2 / np.maximum(L * L - L, 1)  # rho = (S - L) / (L^2 - L)
+    return replace(seg, rho=tuple(g if abs(g - r) <= t else r for g, r, t in zip(rho, seg.rho, tol)))
 
 
 def _segmentation(S: np.ndarray, n: int, bps: tuple[int, ...]) -> Segmentation:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -22,9 +23,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corrseg import correction, io, segment
+from corrseg import cli, correction, io, segment
 from corrseg.cli import main
-from corrseg.core import ExpressionMatrix
+from corrseg.core import ExpressionMatrix, build_gram_prefix, standardize
 from corrseg.pipeline import correct_view, segment_all, segmentation_rows, split_by_chromosome
 from conftest import open_fds
 
@@ -86,7 +87,7 @@ class TestSegmentCommand:
         ])
         assert code == 0
         bounds = io.read_segmentation(tmp_path / "segmentation.tsv")
-        assert bounds == {"chr1": TOY_TRUTH}
+        assert {c: [(a, b) for a, b, _ in segs] for c, segs in bounds.items()} == {"chr1": TOY_TRUTH}
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config"]["command"] == "segment"
         assert "version" in manifest
@@ -392,6 +393,93 @@ class TestTestCommand:
         assert [(r.start, r.end) for r in reports] == [(a + 1, b) for a, b in TOY_TRUTH]
         rows = read_tsv(tmp_path / "segmentation.tsv")
         assert [repr(r.rho_hat) for r in reports] == [row["rho_hat"] for row in rows]
+
+    # segment -> test on two simulated chromosomes, the first with a block
+    CHAIN = {"chromosomes": [{"name": "chr1", "p": 80, "h1_blocks": [[21, 40]]},
+                             {"name": "chr2", "p": 40}], "rho0": 0.05, "rho1": 0.8, "n": 30}
+
+    def _segmented(self, tmp_path):
+        work = tmp_path / "chain"
+        work.mkdir()
+        spec = write_spec(work / "spec.json", **self.CHAIN, seed=3)
+        assert main(["simulate", "--spec", str(spec), "--out", str(work)]) == 0
+        inputs = ["--input", str(work / "expression.tsv"), "--annotation", str(work / "annotation.tsv")]
+        assert main(["segment", *inputs, "--out", str(work)]) == 0
+        return work, inputs
+
+    @staticmethod
+    def _regions(inputs, segmentation, out) -> bytes:
+        assert main(["test", *inputs, "--segmentation", str(segmentation), "--out", str(out)]) == 0
+        return (out / "regions.tsv").read_bytes()
+
+    def test_builds_no_gram_prefix(self, tmp_path, monkeypatch):
+        """The regions are those of the segmentation's prefix block sums,
+        with no Gram product: test reuses the rho_hat segment wrote."""
+        work, inputs = self._segmented(tmp_path)
+        seg = work / "segmentation.tsv"
+        with monkeypatch.context() as m:
+            m.setattr(cli, "segmentation_of", lambda std, bps, rho=None:
+                      segment.segmentation_from_breakpoints(build_gram_prefix(std), std.n, bps))
+            expected = self._regions(inputs, seg, tmp_path / "prefix")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a Gram prefix")
+
+        for target in ("corrseg.core.build_gram_prefix", "corrseg.segment.build_gram_prefix", "numpy.matmul"):
+            monkeypatch.setattr(target, refuse)
+        assert self._regions(inputs, seg, tmp_path / "bare") == expected
+
+    def test_shuffled_segmentation_rows_change_no_byte(self, tmp_path):
+        work, inputs = self._segmented(tmp_path)
+        header, *rows = (work / "segmentation.tsv").read_text().splitlines(keepends=True)
+        shuffled = tmp_path / "shuffled.tsv"
+        shuffled.write_text(header + "".join(rows[::-1][1::2] + rows[::-1][::2]))
+        assert shuffled.read_text() != (work / "segmentation.tsv").read_text()
+        assert (self._regions(inputs, shuffled, tmp_path / "shuffled")
+                == self._regions(inputs, work / "segmentation.tsv", tmp_path / "plain"))
+
+    @pytest.mark.parametrize("edit", ["drop column", "nudge one"])
+    def test_unmatched_rho_hat_reports_the_row_sum_estimate(self, tmp_path, edit):
+        work, inputs = self._segmented(tmp_path)
+        rows = read_tsv(work / "segmentation.tsv")
+        nudged = next(k for k, row in enumerate(rows) if int(row["p_k"]) > 2)
+        if edit == "drop column":
+            for row in rows:
+                del row["rho_hat"]
+        else:
+            rows[nudged]["rho_hat"] = repr(float(rows[nudged]["rho_hat"]) + 1e-6)
+        io.write_rows(tmp_path / "edited.tsv", list(rows[0]), [list(row.values()) for row in rows])
+        self._regions(inputs, work / "segmentation.tsv", tmp_path / "full")
+        self._regions(inputs, tmp_path / "edited.tsv", tmp_path / "edited")
+        full = read_tsv(tmp_path / "full" / "regions.tsv")
+        edited = read_tsv(tmp_path / "edited" / "regions.tsv")
+        matrix = io.read_expression(work / "expression.tsv")
+        views = {v.name: standardize(v.matrix) for v in
+                 split_by_chromosome(matrix, io.read_annotation(work / "annotation.tsv"))}
+        for k, (row, want, got) in enumerate(zip(rows, full, edited)):
+            assert {c: v for c, v in got.items() if c != "rho_hat"} == {
+                c: v for c, v in want.items() if c != "rho_hat"}
+            if edit == "nudge one" and k != nudged:
+                assert got["rho_hat"] == row["rho_hat"]
+                continue
+            a, b, n = int(row["start"]) - 1, int(row["end"]), matrix.n
+            block = views[row["chromosome"]].values[:, a:b]
+            S = math.fsum(math.fsum(patient) ** 2 for patient in block) / n
+            oracle = 0.0 if b - a == 1 else (S - (b - a)) / ((b - a) ** 2 - (b - a))
+            assert abs(float(got["rho_hat"]) - oracle) <= 1e-12
+        if edit == "nudge one":
+            assert edited[nudged]["rho_hat"] != rows[nudged]["rho_hat"]
+
+    def test_non_numeric_rho_hat_named_exit_2(self, tmp_path, capsys):
+        seg = tmp_path / "seg.tsv"
+        io.write_rows(seg, ["chromosome", "start", "end", "rho_hat"],
+                      [["chr1", 1, 30, 0.5], ["chr1", 31, 60, "high"]])
+        code = main([
+            "test", "--input", str(TOY_EXPR), "--annotation", str(TOY_ANN),
+            "--segmentation", str(seg), "--out", str(tmp_path),
+        ])
+        assert code == 2
+        assert f"{seg}: row 3: rho_hat: non-numeric value 'high'" in capsys.readouterr().err
 
     def test_segmentation_row_without_chromosome_exit_3(self, tmp_path, capsys):
         seg = tmp_path / "seg.tsv"

@@ -1,5 +1,6 @@
 """File formats: expression, annotation, covariate, segmentation, regions."""
 
+import math
 import re
 import tracemalloc
 import warnings
@@ -338,7 +339,15 @@ def test_segmentation_round_trip(tmp_path):
     ]
     io.write_segmentation(tmp_path / "s.tsv", rows)
     segs = io.read_segmentation(tmp_path / "s.tsv")
-    assert segs == {"chr1": [(0, 10), (10, 30)], "chr2": [(0, 5)]}
+    assert segs == {"chr1": [(0, 10, 0.25), (10, 30, 0.0)], "chr2": [(0, 5, 0.7)]}
+
+def test_segmentation_rho_hat_is_optional(tmp_path):
+    # an absent column or a missing marker reads NaN, kept with its row's bounds
+    for name, text in [("absent", "chromosome\tstart\tend\nchr1\t3\t4\nchr1\t1\t2\n"),
+                       ("marked", "chromosome\tstart\tend\trho_hat\nchr1\t3\t4\tNA\nchr1\t1\t2\t0.5\n")]:
+        (a, b, first), (c, d, second) = io.read_segmentation(write(tmp_path / f"{name}.tsv", text))["chr1"]
+        assert (a, b, c, d) == (0, 2, 2, 4) and math.isnan(second)
+        assert math.isnan(first) if name == "absent" else first == 0.5
 
 def test_segmentation_schema_errors(tmp_path):
     with pytest.raises(SchemaError):

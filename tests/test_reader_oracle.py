@@ -222,6 +222,7 @@ TABLES = {
     "segmentation": (io.read_segmentation, [
         [("chromosome", CHROMS), ("start", INTS), ("end", INTS)],
         [("start", INTS), ("stop", INTS), ("chr", CHROMS), ("p_k", INTS)],
+        [("chromosome", CHROMS), ("start", INTS), ("end", INTS), ("rho_hat", NUMS)],
     ]),
     "regions": (io.read_regions, [
         [("chromosome", CHROMS), ("start", INTS), ("end", INTS), ("p_value", NUMS)],

@@ -1,6 +1,7 @@
 """Segment costs, the segmentation DP, and segment-count selection."""
 
 import itertools
+import math
 import mmap
 import multiprocessing
 import os
@@ -11,6 +12,7 @@ import time
 import tracemalloc
 import warnings
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -232,9 +234,10 @@ def test_segment_estimates_equal_cost_table(rng):
             assert r == (0.0 if b - a == 1 else rho_hat(float(S[a, b]), b - a))
         assert seg.total_loglik == float(sum(seg.segment_loglik))
 
-# `corrseg test` builds only the prefix rows at its breakpoints, and the DP
-# reads each cost tile through views of the prefix; both must keep the bits
-# of the gathered four-term block sums.
+# `corrseg test` takes its block sums from row sums, not from the prefix, and
+# reports the prefix rho segment wrote where it matches; the DP reads each
+# cost tile through views of the prefix and must keep the bits of the
+# gathered four-term block sums.
 
 BIT_PIN_WIDTHS = [1, 2, TILE - 1, TILE, 3 * TILE + 5]
 
@@ -257,20 +260,52 @@ def bit_pin_case(draw):
         cuts = sorted(draw(st.sets(st.integers(1, p - 1), max_size=p - 1))) if p > 1 else []
     return std_for(values), [0, *cuts, p]
 
+def assert_prefix_rho_kept(m, bps):
+    """segment's own prefix rho, read back by test, counts as a match."""
+    prefix = segmentation_from_breakpoints(build_gram_prefix(m), m.n, bps)
+    seg = segmentation_of(m, bps)
+    assert seg.breakpoints == prefix.breakpoints
+    assert segmentation_of(m, bps, prefix.rho) == replace(seg, rho=prefix.rho)
+    return prefix, seg
+
 @settings(max_examples=60, deadline=None)
 @given(case=bit_pin_case())
-def test_breakpoint_rows_keep_the_gathered_block_sums(case):
+def test_segmentation_of_keeps_the_prefix_rho_it_is_given(case):
     m, bps = case
-    P = build_gram_prefix(m)
-    rows = build_gram_prefix(m, bps)
-    assert np.array_equal(rows, P[bps])
-    starts, stops = np.array(bps[:-1]), np.array(bps[1:])
-    S = block_sums(P, starts, stops)
-    L = stops - starts
-    seg = segmentation_of(m, bps)
-    assert seg.rho == tuple(0.0 if ell == 1 else rho_hat(float(s), int(ell)) for s, ell in zip(S, L))
-    assert seg.segment_loglik == tuple(-0.5 * float(c) for c in _closed_form_cost(S.copy(), L, m.n))
-    assert seg == segmentation_from_breakpoints(P, m.n, bps)
+    prefix, seg = assert_prefix_rho_kept(m, bps)
+    assert np.allclose(seg.rho, prefix.rho, rtol=0, atol=1e-9)
+    for unmatched in ([r + 1e-6 for r in prefix.rho], [math.nan] * seg.K):
+        assert segmentation_of(m, bps, unmatched) == seg
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(2, 300), n=st.integers(3, 200), rho=st.floats(0.0, 0.99),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_prefix_rho_lies_within_rho_match_of_the_row_sums(p, n, rho, seed, data):
+    m = std_for(blocked_matrix(n, p, [(0, p)], 0.0, rho, np.random.default_rng(seed)))
+    kind = data.draw(st.sampled_from(["singletons", "pairs", "drawn"]))
+    if kind == "singletons":
+        bps = list(range(p + 1))
+    elif kind == "pairs":
+        bps = [*range(0, p, 2), p]
+    else:
+        bps = [0, *sorted(data.draw(st.sets(st.integers(1, p - 1), max_size=p - 1))), p]
+    assert_prefix_rho_kept(m, bps)
+
+def test_prefix_rho_lies_within_rho_match_of_the_row_sums_at_p_5000():
+    # 2-gene segments late in a strongly correlated chromosome: the prefix
+    # rho there is off by ~3e-9, past any fixed 1e-9 match
+    m = std_for(blocked_matrix(58, 5000, [(0, 5000)], 0.0, 0.95, np.random.default_rng(1)))
+    prefix, seg = assert_prefix_rho_kept(m, [0, 1, 3, 100, 2600, *range(4000, 5001, 2)])
+    assert max(abs(a - b) for a, b in zip(prefix.rho, seg.rho)) > 1e-9
+
+def gathered_rss(values, b0, b1):
+    """`_rss_cost`'s tile through four gathers of the cumsums."""
+    cs, cs2 = (np.concatenate([np.zeros((*v.shape[:-1], 1)), np.cumsum(v, axis=-1)], axis=-1)
+               for v in (values, values * values))
+    starts, stops = _tile(b0, b1)
+    seg_sum = cs[..., stops] - cs[..., starts]
+    rss = (cs2[..., stops] - cs2[..., starts]) - seg_sum * seg_sum / np.maximum(stops - starts, 1)
+    return np.maximum(rss, 0.0)
 
 @settings(max_examples=30, deadline=None)
 @given(case=bit_pin_case())
@@ -278,11 +313,14 @@ def test_slice_read_cost_tiles_equal_gathered_tiles(case):
     m = case[0]
     P = build_gram_prefix(m)
     cost = segment._gram_cost(P, m.n)
+    # a batch of three series, the matrix's first patients
+    rss = _rss_cost(m.values[:3])
     for b0 in range(0, m.p, TILE):
         b1 = min(b0 + TILE, m.p)
         starts, stops = _tile(b0, b1)
         gathered = _closed_form_cost(block_sums(P, starts, stops), stops - starts, m.n)
         assert np.array_equal(cost(b0, b1), gathered)
+        assert np.array_equal(rss(b0, b1), gathered_rss(m.values[:3], b0, b1))
 
 def test_dp_k_too_large(rng):
     m = std_for(rng.standard_normal((10, 6)))
